@@ -23,20 +23,33 @@
  *    future. Nodes live in a reusable slab and chain off an array of
  *    bucket heads indexed by floor(when / width); dispatch scans the
  *    current bucket (a handful of nodes) instead of sifting a
- *    thousands-deep comparison tree, making the per-event cost
- *    independent of how many events are pending. The bucket width
- *    self-tunes to a few mean dispatch gaps. Because floor(when /
- *    width) is monotone in `when` even under floating-point rounding,
- *    bucket order can never contradict (when, seq) order — the scan
- *    always finds the exact global minimum;
+ *    thousands-deep comparison tree. The bucket width self-tunes to a
+ *    few mean dispatch gaps, so for *spread* timestamps a bucket holds
+ *    O(1) nodes and the per-event cost is independent of how many
+ *    events are pending. Because floor(when / width) is monotone in
+ *    `when` even under floating-point rounding, bucket order can
+ *    never contradict (when, seq) order — the scan always finds the
+ *    exact global minimum;
+ *  - the "hot heap": a burst of events at *bit-identical* timestamps
+ *    (every hardware thread of a kernel issuing its first request at
+ *    t=0) lands in one bucket however narrow the width, and scanning
+ *    a B-node bucket per pop is O(B^2) for the burst. When the scan
+ *    finds more than kHotThreshold current-revolution nodes in the
+ *    bucket it lands on, it promotes them into a binary min-heap on
+ *    exact (when, seq) — the ladder-queue idea (Tang et al., 2005):
+ *    sort only the bucket that is dense. While the heap is non-empty
+ *    it holds every pending far event whose bucket is <= the promoted
+ *    ("hot") bucket, and the wheel only later buckets, so the heap top
+ *    is the far minimum and a burst pop costs O(log B). Small buckets
+ *    keep the linear scan;
  *  - "completion streams": FIFO rings of waits whose timestamps are
  *    non-decreasing (everything queued behind one bandwidth-limited
  *    resource completes in reservation order). Only the head of each
- *    stream sits in the far heap, so the heap stays shallow and the
- *    events behind the head cost O(1). A wait that would break a
+ *    stream sits in the far wheel, so the calendar stays shallow and
+ *    the events behind the head cost O(1). A wait that would break a
  *    stream's monotonicity (possible only through floating-point
  *    rounding of delayUntil arithmetic) silently falls back to a
- *    plain heap event, so ordering never depends on the assumption.
+ *    plain far event, so ordering never depends on the assumption.
  *
  * Determinism contract: every event is stamped with a global sequence
  * number at schedule time, and run() always dispatches the minimum
@@ -223,6 +236,8 @@ class Engine
         for (const int32_t head : slotHeads_)
             for (int32_t n = head; n >= 0; n = farArena_[n].next)
                 destroyFramePayload(farArena_[n].payload);
+        for (const Event &ev : hot_)
+            destroyFramePayload(ev.payload);
         for (Stream &st : streams_)
             while (!st.fifo.empty())
                 std::coroutine_handle<>::from_address(
@@ -363,8 +378,14 @@ class Engine
         os << "completion streams: " << streams_.size() << " ("
            << stream_waits << " parked waits)\n"
            << "far-wheel buckets: " << slotHeads_.size() << " (width "
-           << wheelWidth_ << " ns)\n"
-           << "arena growths: " << arenaGrowths_ << "\n";
+           << wheelWidth_ << " ns); hot heap: " << hot_.size()
+           << " events";
+        // A populated hot heap means a promoted equal-timestamp burst.
+        if (!hot_.empty())
+            os << " promoted from bucket " << hotBucket_ << " (t < "
+               << static_cast<double>(hotBucket_ + 1) * wheelWidth_
+               << " ns)";
+        os << "\narena growths: " << arenaGrowths_ << "\n";
         std::vector<BlockedAgent> blocked;
         for (const Waitable *w : waitables_)
             w->appendBlocked(blocked);
@@ -406,10 +427,10 @@ class Engine
     uint64_t callbackEvents() const { return ctx_->callbackEvents; }
 
     /**
-     * Times any event arena (now queue, far-wheel slab, callback
-     * slab) had to grow its backing storage. Stays O(log events) from cold and
-     * zero after reserveEvents() sized the arenas — the per-event hot
-     * path itself never allocates.
+     * Times any event arena (now queue, far-wheel slab, hot heap,
+     * callback slab) had to grow its backing storage. Stays
+     * O(log events) from cold and zero after reserveEvents() sized the
+     * arenas — the per-event hot path itself never allocates.
      */
     uint64_t arenaGrowths() const { return arenaGrowths_; }
 
@@ -439,12 +460,14 @@ class Engine
      * Pre-size the event arenas so a run of known magnitude never
      * reallocates: @p far bounds concurrent future events (roughly
      * the number of live agents), @p zero bounds concurrent
-     * zero-delay events.
+     * zero-delay events. The hot heap is sized for @p far too: a
+     * burst can promote every pending far event into it.
      */
     void
     reserveEvents(size_t far, size_t zero = 0)
     {
         farArena_.reserve(far);
+        hot_.reserve(far);
         nowQ_.reserve(zero ? zero : far);
     }
 
@@ -716,6 +739,13 @@ class Engine
         return a.seq < b.seq;
     }
 
+    /** Heap comparator: std::*_heap keep the (when, seq) minimum on top. */
+    static bool
+    hotAfter(const Event &a, const Event &b)
+    {
+        return before(Key{b.when, b.seq}, Key{a.when, a.seq});
+    }
+
     /** Park @p fn in the callback slab; returns its tagged payload. */
     Payload
     internCallback(std::function<void()> fn)
@@ -863,8 +893,18 @@ class Engine
                     "simulated time ran backwards: dispatching t="
                         << ev.when << " at t=" << ctx_->now);
         ctx_->now = ev.when;
-        if (ctx_->limitsActive) [[unlikely]]
-            enforceLimits();
+        if (ctx_->limitsActive) [[unlikely]] {
+            try {
+                enforceLimits();
+            } catch (...) {
+                // The breaching event already left the arenas, so the
+                // destructor cannot see it: release its frame here.
+                // Stream heads and callbacks stay owned by their
+                // stream FIFO / slab.
+                destroyFramePayload(ev.payload);
+                throw;
+            }
+        }
 #ifndef PGCN_NO_TELEMETRY
         // Telemetry sampling rides the dispatch loop instead of
         // scheduling its own events, so an attached observer can
@@ -953,10 +993,37 @@ class Engine
         return static_cast<uint64_t>(when * wheelInvWidth_);
     }
 
-    /** File an event in the far wheel. O(1), allocation-free once the
-     *  slab has reached its high-water mark. */
+    /**
+     * File a far event: into the hot heap when one is active and the
+     * event's bucket is at or before the hot bucket (including events
+     * behind the dispatch cursor and keyed injects carrying a seq lower
+     * than seqs already present), else into the wheel.
+     */
     void
     farPush(const Key &k, Payload p, uint32_t depth)
+    {
+        if (!hot_.empty() && bucketOf(k.when) <= hotBucket_)
+            hotPush(Event{k.when, k.seq, p, depth});
+        else
+            wheelInsert(k, p, depth);
+        ++farCount_;
+    }
+
+    /** Sift @p ev into the hot heap. O(log B), allocation-free once
+     *  reserveEvents() sized the heap. */
+    void
+    hotPush(const Event &ev)
+    {
+        if (hot_.size() == hot_.capacity())
+            ++arenaGrowths_;
+        hot_.push_back(ev);
+        std::push_heap(hot_.begin(), hot_.end(), hotAfter);
+    }
+
+    /** Link an event into its wheel bucket. O(1), allocation-free once
+     *  the slab has reached its high-water mark. */
+    void
+    wheelInsert(const Key &k, Payload p, uint32_t depth)
     {
         int32_t n;
         if (farFree_ >= 0) {
@@ -985,20 +1052,23 @@ class Engine
         // predecessor link.
         if (minValid_ && (bucket <= minBucket_ || slot == minSlot_))
             minValid_ = false;
-        ++farCount_;
     }
 
     /**
-     * Locate the pending event with the smallest (when, seq) and
-     * cache its position. Every live node's bucket is >= curBucket_
+     * Locate the pending event with the smallest (when, seq). Returns
+     * true when it is the hot heap's top; otherwise caches its wheel
+     * position. Every live wheel node's bucket is >= curBucket_
      * (events are never scheduled in the past), so the first bucket
-     * holding a non-aliased node contains the global minimum.
+     * holding a non-aliased node contains the global minimum — and if
+     * that bucket is dense, it is promoted to the hot heap here.
      */
-    void
+    bool
     farLocateMin()
     {
+        if (!hot_.empty())
+            return true;
         if (minValid_)
-            return;
+            return false;
         PGCN_ASSERT(farCount_ > 0, "min of an empty far wheel");
         size_t advanced = 0;
         for (;;) {
@@ -1006,11 +1076,13 @@ class Engine
                 static_cast<size_t>(curBucket_) & slotMask_;
             int32_t best = -1;
             int32_t best_prev = -1;
+            size_t live = 0;
             for (int32_t prev = -1, i = slotHeads_[slot]; i >= 0;
                  prev = i, i = farArena_[i].next) {
                 const FarNode &nd = farArena_[i];
                 if (bucketOf(nd.when) != curBucket_)
                     continue; // a later revolution aliasing this slot
+                ++live;
                 if (best < 0 ||
                     before(Key{nd.when, nd.seq},
                            Key{farArena_[best].when,
@@ -1019,13 +1091,17 @@ class Engine
                     best_prev = prev;
                 }
             }
+            if (live > kHotThreshold) {
+                promoteBucket(slot);
+                return true;
+            }
             if (best >= 0) {
                 minValid_ = true;
                 minNode_ = best;
                 minPrev_ = best_prev;
                 minSlot_ = slot;
                 minBucket_ = curBucket_;
-                return;
+                return false;
             }
             ++curBucket_;
             if (++advanced == slotHeads_.size()) {
@@ -1043,11 +1119,42 @@ class Engine
         }
     }
 
+    /**
+     * Move every current-revolution node of the dense bucket
+     * curBucket_ (held in @p slot) into the empty hot heap and recycle
+     * their wheel nodes. Aliased later-revolution nodes stay chained.
+     * The cursor steps past the hot bucket: the wheel now holds only
+     * later buckets.
+     */
+    void
+    promoteBucket(size_t slot)
+    {
+        int32_t *link = &slotHeads_[slot];
+        while (*link >= 0) {
+            const int32_t i = *link;
+            FarNode &nd = farArena_[i];
+            if (bucketOf(nd.when) != curBucket_) {
+                link = &nd.next;
+                continue;
+            }
+            if (hot_.size() == hot_.capacity())
+                ++arenaGrowths_;
+            hot_.push_back(Event{nd.when, nd.seq, nd.payload, nd.depth});
+            *link = nd.next;
+            nd.next = farFree_;
+            farFree_ = i;
+        }
+        std::make_heap(hot_.begin(), hot_.end(), hotAfter);
+        hotBucket_ = curBucket_;
+        curBucket_ = hotBucket_ + 1;
+    }
+
     /** Sort key of the earliest pending far event. */
     Key
     farMinKey()
     {
-        farLocateMin();
+        if (farLocateMin())
+            return Key{hot_.front().when, hot_.front().seq};
         const FarNode &nd = farArena_[minNode_];
         return Key{nd.when, nd.seq};
     }
@@ -1056,16 +1163,7 @@ class Engine
     Event
     farPop()
     {
-        farLocateMin();
-        FarNode &nd = farArena_[minNode_];
-        const Event ev{nd.when, nd.seq, nd.payload, nd.depth};
-        if (minPrev_ < 0)
-            slotHeads_[minSlot_] = nd.next;
-        else
-            farArena_[minPrev_].next = nd.next;
-        nd.next = farFree_;
-        farFree_ = minNode_;
-        minValid_ = false;
+        const Event ev = farLocateMin() ? hotPop() : wheelPopMin();
         --farCount_;
         // Track the mean dispatch gap so the bucket width can follow
         // the workload's event density.
@@ -1078,12 +1176,41 @@ class Engine
         return ev;
     }
 
+    /** Remove the hot heap's top. */
+    Event
+    hotPop()
+    {
+        std::pop_heap(hot_.begin(), hot_.end(), hotAfter);
+        const Event ev = hot_.back();
+        hot_.pop_back();
+        return ev;
+    }
+
+    /** Unlink the wheel minimum cached by farLocateMin(). */
+    Event
+    wheelPopMin()
+    {
+        FarNode &nd = farArena_[minNode_];
+        const Event ev{nd.when, nd.seq, nd.payload, nd.depth};
+        if (minPrev_ < 0)
+            slotHeads_[minSlot_] = nd.next;
+        else
+            farArena_[minPrev_].next = nd.next;
+        nd.next = farFree_;
+        farFree_ = minNode_;
+        minValid_ = false;
+        return ev;
+    }
+
     /**
      * Re-tune the wheel: aim the bucket width at a few mean dispatch
      * gaps and the bucket count at twice the pending population, so a
-     * bucket scan touches O(1) nodes regardless of workload. Runs at
+     * bucket scan touches O(1) nodes for spread timestamps. Runs at
      * most every kRetunePeriod far dispatches; a rebuild relinks the
-     * live nodes in place (no node is copied or reallocated).
+     * live nodes in place (no node is copied or reallocated) and
+     * flushes the hot heap back into the rebuilt wheel — its bucket
+     * index is in the old width's units. A still-dense bucket is
+     * re-promoted by the next farLocateMin().
      */
     void
     maybeRetune()
@@ -1113,6 +1240,9 @@ class Engine
             slotHeads_[slot] = i;
         }
         minValid_ = false;
+        for (const Event &ev : hot_)
+            wheelInsert(Key{ev.when, ev.seq}, ev.payload, ev.depth);
+        hot_.clear();
     }
 
     /** One far event: sort key, payload, and intrusive bucket link.
@@ -1130,6 +1260,10 @@ class Engine
     static constexpr size_t kInitialSlots = 1024;
     static constexpr size_t kMaxSlots = size_t{1} << 18;
     static constexpr uint32_t kRetunePeriod = 1024;
+    /// Current-revolution nodes a bucket may hold before farLocateMin
+    /// promotes it to the hot heap. Below this a linear scan beats
+    /// heap upkeep (the common, spread-timestamp case).
+    static constexpr size_t kHotThreshold = 32;
 
     std::vector<FarNode> farArena_;     ///< far-wheel node slab
     std::vector<int32_t> slotHeads_ =
@@ -1149,6 +1283,10 @@ class Engine
     int32_t minPrev_ = -1;
     size_t minSlot_ = 0;
     uint64_t minBucket_ = 0;            ///< absolute bucket of cached min
+    /// Min-heap (hotAfter) of every pending far event in buckets
+    /// <= hotBucket_; empty when no dense bucket is promoted.
+    std::vector<Event> hot_;
+    uint64_t hotBucket_ = 0;            ///< promoted bucket (hot_ non-empty)
     std::vector<Event> nowQ_;           ///< FIFO of zero-delay events
     size_t nowHead_ = 0;                ///< dispatch cursor into nowQ_
     std::vector<std::function<void()>> callbackSlab_;

@@ -957,6 +957,54 @@ TEST(DomainTiebreak, SequencedZeroDelayPostsFollowGlobalOrder)
     EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
 }
 
+// A dense bucket of keyed messages is promoted to the engine's exact
+// (when, seq) heap. Keys that arrive after the promotion — lower than
+// keys already in the heap, or at earlier timestamps behind the hot
+// bucket — must still dispatch in (when, key) order, in both modes.
+TEST(DomainBurst, KeyedPostsOutOfSeqOrderIntoPromotedBucket)
+{
+    using Log = std::vector<std::pair<SimTime, uint64_t>>;
+    std::string first_snapshot; // domain 1 at its first dispatch (t=4.5)
+    auto runMode = [&first_snapshot](DomainSet::Mode mode) {
+        DomainSet::Options opts;
+        opts.domains = 2;
+        opts.mode = mode;
+        opts.lookaheadNs = 1.0;
+        DomainSet set(opts);
+        Log log; // written only by domain 1's thread
+        auto post = [&](SimTime when, uint64_t key) {
+            set.postKeyed(0, 1, when, kSeqBandRequest + key, [&, key] {
+                if (log.empty())
+                    first_snapshot = set.engine(1).snapshot();
+                log.emplace_back(set.engine(1).now(), key);
+            });
+        };
+        // 256 even keys at t=10 in descending order: one dense bucket.
+        set.engine(0).schedule(1.0, [&post] {
+            for (uint64_t i = 0; i < 256; ++i)
+                post(10.0, 1000 - 2 * i);
+        });
+        // Later arrivals: odd keys interleaving the heap's keys, keys
+        // below all of them, and messages behind the hot bucket.
+        set.engine(0).schedule(3.0, [&post] {
+            for (uint64_t i = 0; i < 64; ++i)
+                post(10.0, 1 + 2 * ((i * 37) % 300));
+            post(10.0, 0);
+            post(6.0, 7);
+            post(4.5, 3);
+        });
+        set.run();
+        return log;
+    };
+    const Log sequenced = runMode(DomainSet::Mode::Sequenced);
+    ASSERT_EQ(sequenced.size(), 256u + 64u + 3u);
+    EXPECT_TRUE(std::is_sorted(sequenced.begin(), sequenced.end()));
+    // The late arrivals really went into a promoted bucket.
+    EXPECT_NE(first_snapshot.find("promoted from bucket"), std::string::npos)
+        << first_snapshot;
+    EXPECT_EQ(runMode(DomainSet::Mode::Parallel), sequenced);
+}
+
 // ---------------------------------------------------------------------------
 // 5. Clock plumbing: runUntil strictness and the awaitResponse fast path
 

@@ -6,7 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -434,6 +437,205 @@ TEST(QueueProperty, PerProducerOrderPreserved)
     ASSERT_EQ(seen.size(), 50u);
     for (int i = 0; i < 50; ++i)
         EXPECT_EQ(seen[i], i);
+}
+
+} // namespace
+
+// ------------------------------------------------ equal-timestamp bursts
+//
+// Events at one bit-identical timestamp share a calendar bucket however
+// narrow the bucket width, so the engine promotes a dense bucket to an
+// exact (when, seq) heap. These tests pin that the promotion keeps the
+// global dispatch order, releases parked frames on an aborted run and
+// keeps the allocation-free contract. The EngineBurst suite runs under
+// a tight ctest TIMEOUT (tests/CMakeLists.txt): scanning the dense
+// bucket on every pop is quadratic in the burst and cannot finish.
+
+namespace {
+
+using namespace pgcn::sim;
+
+/** One dispatched callback: its time and its schedule-order id. */
+struct Fired
+{
+    SimTime when;
+    uint64_t id;
+
+    bool
+    operator==(const Fired &o) const
+    {
+        return when == o.when && id == o.id;
+    }
+};
+
+/**
+ * Schedules logging callbacks. Every schedule() takes exactly one
+ * engine sequence number, so ids issued in schedule order sort like
+ * the engine's (when, seq) keys.
+ */
+struct BurstLog
+{
+    Engine &engine;
+    uint64_t nextId = 0;
+    std::vector<Fired> fired;
+
+    void
+    at(SimTime delay, std::function<void()> then = {})
+    {
+        const uint64_t id = nextId++;
+        engine.schedule(delay, [this, id, then = std::move(then)] {
+            fired.push_back({engine.now(), id});
+            if (then)
+                then();
+        });
+    }
+};
+
+TEST(EngineBurst, EqualTimestampBurstDispatchesInWhenSeqOrder)
+{
+    constexpr uint64_t kBurst = uint64_t{1} << 17;
+    constexpr SimTime kT = 100.0;
+    Engine engine;
+    BurstLog log{engine, 0, {}};
+    std::string mid_snapshot;
+
+    // At t=50 a zero-delay follow-up makes the merge peek the far
+    // wheel, which promotes the t=100 burst bucket while dispatch is
+    // still at t=50; the follow-up then files events *behind* the
+    // promoted bucket (t=60, t=75) and into it (t=100, later seq).
+    log.at(50.0, [&] {
+        log.at(0.0, [&] {
+            log.at(10.0, [&] { log.at(40.0); });
+            log.at(25.0);
+            log.at(kT - 50.0);
+        });
+    });
+    for (uint64_t i = 0; i < kBurst; ++i) {
+        if (i % 4096 == 7) {
+            // Burst members pushing into the promoted bucket (a
+            // sub-bucket delay), the now queue and later buckets.
+            log.at(kT, [&] {
+                log.at(1e-9);
+                log.at(0.0);
+                log.at(0.5);
+                log.at(37.25);
+            });
+        } else if (i == kBurst / 2) {
+            log.at(kT, [&] { mid_snapshot = engine.snapshot(); });
+        } else {
+            log.at(kT);
+        }
+    }
+    // Spread events after the burst and well before t=50 (nothing
+    // may sit between t=50 and the burst, or the t=50 peek would stop
+    // at that bucket instead of promoting the burst).
+    for (int k = 1; k <= 1000; ++k)
+        log.at(kT + 0.37 * k);
+    for (int k = 1; k <= 64; ++k)
+        log.at(10.0 + 0.5 * k);
+
+    engine.run();
+
+    ASSERT_EQ(log.fired.size(), log.nextId);
+    std::vector<Fired> expected = log.fired;
+    std::sort(expected.begin(), expected.end(),
+              [](const Fired &a, const Fired &b) {
+                  return a.when != b.when ? a.when < b.when : a.id < b.id;
+              });
+    const auto diverge = std::mismatch(log.fired.begin(), log.fired.end(),
+                                       expected.begin());
+    EXPECT_TRUE(diverge.first == log.fired.end())
+        << "dispatch order diverges from (when, seq) at event "
+        << (diverge.first - log.fired.begin()) << ": got t="
+        << diverge.first->when << " id=" << diverge.first->id
+        << ", expected t=" << diverge.second->when
+        << " id=" << diverge.second->id;
+    // Halfway through, the burst is served from the hot heap again
+    // after the wheel was rebuilt: the first retune (far pop 1024,
+    // mid-burst) grows the wheel past its initial 1024 buckets and so
+    // flushes the populated heap back into it.
+    EXPECT_NE(mid_snapshot.find("promoted from bucket"), std::string::npos)
+        << mid_snapshot;
+    EXPECT_EQ(mid_snapshot.find("far-wheel buckets: 1024 "),
+              std::string::npos)
+        << mid_snapshot;
+}
+
+TEST(EngineBurst, AbortedRunReleasesHotHeapFrames)
+{
+    // An event budget that trips halfway through the second of two
+    // bursts leaves half the agents parked in the hot heap. Destroying
+    // the engine must destroy each of those frames exactly once
+    // (every frame's guard runs its destructor once, whether the
+    // agent finished or was released).
+    constexpr int kAgents = 4096;
+    struct Guard
+    {
+        int &count;
+        ~Guard() { ++count; }
+    };
+    int destroyed = 0;
+    std::string breach;
+    {
+        Engine engine;
+        for (int a = 0; a < kAgents; ++a) {
+            [](Engine &eng, int &count) -> Process {
+                Guard guard{count};
+                co_await eng.delay(10.0);
+                co_await eng.delay(10.0);
+            }(engine, destroyed);
+        }
+        Engine::RunLimits limits;
+        limits.maxEvents = kAgents + kAgents / 2;
+        engine.setRunLimits(limits);
+        try {
+            engine.run();
+            ADD_FAILURE() << "expected SimLimitError";
+        } catch (const SimLimitError &e) {
+            breach = e.what();
+        }
+        EXPECT_LT(destroyed, kAgents);
+    }
+    EXPECT_EQ(destroyed, kAgents);
+    EXPECT_NE(breach.find("promoted from bucket"), std::string::npos)
+        << breach;
+}
+
+TEST(EngineBurst, ReservedArenasNeverGrowOnResumePath)
+{
+    // The burst variant of Engine.ReservedArenasNeverGrowOnResumePath:
+    // every agent wakes at the same timestamps, so each round is one
+    // promoted bucket. reserveEvents() also sizes the hot heap, and
+    // flushing it into a retuned wheel reuses the recycled wheel nodes.
+    constexpr int kAgents = 4096;
+    constexpr int kRounds = 16;
+    auto spawn = [](Engine &eng, std::string &mid) {
+        for (int a = 0; a < kAgents; ++a) {
+            [](Engine &e, int id, std::string &probe) -> Process {
+                for (int i = 0; i < kRounds; ++i) {
+                    co_await e.delay(1.0);
+                    if (id == kAgents / 2 + 7 && i == kRounds / 2)
+                        probe = e.snapshot();
+                }
+            }(eng, a, mid);
+        }
+    };
+    Engine engine;
+    engine.reserveEvents(kAgents, kAgents);
+    std::string mid;
+    spawn(engine, mid);
+    engine.run();
+    EXPECT_EQ(engine.arenaGrowths(), 0u);
+    EXPECT_EQ(engine.coroutineEvents(),
+              static_cast<uint64_t>(kAgents) * kRounds);
+    EXPECT_NE(mid.find("promoted from bucket"), std::string::npos) << mid;
+
+    // Sanity: without reserveEvents() the hot heap has to grow.
+    Engine cold;
+    std::string cold_mid;
+    spawn(cold, cold_mid);
+    cold.run();
+    EXPECT_GT(cold.arenaGrowths(), 0u);
 }
 
 } // namespace
