@@ -710,9 +710,6 @@ class SweepDriver
         m.gitDirty = version::kGitDirty;
         m.buildType = version::kBuildType;
         m.compiler = version::kCompiler;
-#ifdef PGCN_NO_TELEMETRY
-        m.telemetryCompiled = false;
-#endif
         m.simdTier =
             kernels::simd::tierName(kernels::simd::activeTier());
         m.numaNodes = parallel::detectNumaTopology().numNodes();

@@ -36,6 +36,18 @@ MemorySystem::MemorySystem(sim::DomainSet &domains, const PiumaConfig &cfg)
     portRate_ = cfg.netPortBandwidthGBps;
 }
 
+MemorySystem::~MemorySystem()
+{
+    // Each PendingAccess lives inside the frame parked on it, so take
+    // every handle before destroying any frame.
+    std::vector<std::coroutine_handle<>> frames;
+    for (const IssueShard &shard : issueShards_)
+        for (const PendingAccess *pa : shard.parked)
+            frames.push_back(pa->waiter);
+    for (const std::coroutine_handle<> h : frames)
+        h.destroy();
+}
+
 double
 MemorySystem::modelLookaheadNs(const PiumaConfig &cfg,
                                const sim::FaultConfig *faults)
@@ -322,14 +334,11 @@ MemorySystem::completeChunk(PendingAccess &pa, const MemoryAccess &chunk)
     PGCN_ASSERT(pa.remaining > 0, "response for a completed access");
     if (--pa.remaining != 0)
         return;
-#ifndef PGCN_NO_TELEMETRY
     if (tlmLatency_ != nullptr) [[unlikely]]
         noteLatency(pa);
-#endif
     if (!pa.waiter)
         return;
-    const std::coroutine_handle<> h = pa.waiter;
-    pa.waiter = {};
+    const std::coroutine_handle<> h = unpark(pa);
     sim::Engine &e = engineOf(pa.core);
     const sim::SimTime d = pa.acc.responseAt - e.now();
     if (d > 0.0) {

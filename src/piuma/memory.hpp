@@ -42,6 +42,7 @@
 #include <coroutine>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hpp"
@@ -109,6 +110,7 @@ struct PendingAccess
     unsigned core = 0;       ///< requester core (the await domain)
     uint32_t remaining = 0;  ///< outstanding event-path chunks
     std::coroutine_handle<> waiter{}; ///< parked caller, if any
+    uint32_t parkedAt = 0; ///< index in the core's parked list (waiter set)
 };
 
 /** First unrecoverable drop of a *posted* write, recorded slice-side. */
@@ -135,6 +137,16 @@ class MemorySystem
      * @param cfg System configuration (bandwidths/latencies).
      */
     MemorySystem(sim::DomainSet &domains, const PiumaConfig &cfg);
+    MemorySystem(const MemorySystem &) = delete;
+    MemorySystem &operator=(const MemorySystem &) = delete;
+
+    /**
+     * Destroy the frames of coroutines still parked on in-flight
+     * accesses. After a clean run this is a no-op; after a
+     * SimLimitError these frames are owned by no event arena and no
+     * Waitable, so nothing else would release them.
+     */
+    ~MemorySystem();
 
     /**
      * The model's conservative-lookahead bound: the minimum modeled
@@ -207,10 +219,8 @@ class MemorySystem
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesRead += bytes;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmReads_ != nullptr) [[unlikely]]
             noteIssue(*tlmReads_, requester_core == slice);
-#endif
         issueChunk(requester_core, slice, bytes, bytes / sliceRate_,
                    bytes / portRate_, pipelined, &pa);
         finishIfDone(pa);
@@ -223,10 +233,8 @@ class MemorySystem
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesWritten += bytes;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmWrites_ != nullptr) [[unlikely]]
             noteIssue(*tlmWrites_, requester_core == slice);
-#endif
         issueChunk(requester_core, slice, bytes, bytes / sliceRate_,
                    bytes / portRate_, pipelined, &pa);
         finishIfDone(pa);
@@ -245,10 +253,8 @@ class MemorySystem
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesRead += bytes;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmReads_ != nullptr) [[unlikely]]
             noteIssue(*tlmReads_, requester_core == start_slice);
-#endif
         issueStriped(requester_core, start_slice, bytes, pipelined, &pa);
         finishIfDone(pa);
     }
@@ -260,10 +266,8 @@ class MemorySystem
     {
         beginAccess(requester_core, pa);
         issueShards_[requester_core].bytesWritten += bytes;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmWrites_ != nullptr) [[unlikely]]
             noteIssue(*tlmWrites_, requester_core == start_slice);
-#endif
         issueStriped(requester_core, start_slice, bytes, pipelined, &pa);
         finishIfDone(pa);
     }
@@ -281,10 +285,8 @@ class MemorySystem
                        double bytes, bool pipelined = false)
     {
         issueShards_[requester_core].bytesWritten += bytes;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmWrites_ != nullptr) [[unlikely]]
             noteIssue(*tlmWrites_, requester_core == start_slice);
-#endif
         issueStriped(requester_core, start_slice, bytes, pipelined,
                      nullptr);
     }
@@ -315,7 +317,7 @@ class MemorySystem
             await_suspend(std::coroutine_handle<> h)
             {
                 if (pa.remaining != 0) {
-                    pa.waiter = h;
+                    mem.park(pa, h);
                     return;
                 }
                 mem.domains_.wakeAt(mem.domainOf(pa.core),
@@ -592,14 +594,12 @@ class MemorySystem
      * Mirror every slice-controller and network-port reservation onto
      * @p hub's occupancy timelines (one per slice and per port). The
      * hub must already be sized by MonitorHub::beginRun for this
-     * system's core count. No-op under PGCN_NO_TELEMETRY. Hubs share
-     * fold geometry across cores: entry points force Sequenced mode
-     * whenever one is attached.
+     * system's core count. Hubs share fold geometry across cores:
+     * entry points force Sequenced mode whenever one is attached.
      */
     void
     attachMonitor(sim::MonitorHub *hub)
     {
-#ifndef PGCN_NO_TELEMETRY
         for (size_t i = 0; i < slices_.size(); ++i) {
             slices_[i].attachMonitor(
                 hub != nullptr
@@ -610,9 +610,6 @@ class MemorySystem
                     ? hub->portTimeline(static_cast<unsigned>(i))
                     : nullptr);
         }
-#else
-        (void)hub;
-#endif
     }
 
     /** Number of DRAM slices (== cores). */
@@ -639,6 +636,9 @@ class MemorySystem
         uint64_t accesses = 0;
         uint64_t remoteAccesses = 0;
         uint64_t requestStamp = 0; ///< per-core kSeqBandRequest counter
+        /// Accesses whose waiter is set: the frames the destructor
+        /// releases if the run aborts before their responses arrive.
+        std::vector<PendingAccess *> parked;
     };
 
     /**
@@ -694,6 +694,27 @@ class MemorySystem
 
     /** Cold path: count one access into the attached registry. */
     void noteIssue(telemetry::Counter &op, bool local);
+
+    /** Suspend @p h on @p pa until its last chunk responds. */
+    void
+    park(PendingAccess &pa, std::coroutine_handle<> h)
+    {
+        std::vector<PendingAccess *> &parked = issueShards_[pa.core].parked;
+        pa.waiter = h;
+        pa.parkedAt = static_cast<uint32_t>(parked.size());
+        parked.push_back(&pa);
+    }
+
+    /** Take @p pa's waiter back out of the parked list (swap-remove). */
+    std::coroutine_handle<>
+    unpark(PendingAccess &pa)
+    {
+        std::vector<PendingAccess *> &parked = issueShards_[pa.core].parked;
+        parked[pa.parkedAt] = parked.back();
+        parked[pa.parkedAt]->parkedAt = pa.parkedAt;
+        parked.pop_back();
+        return std::exchange(pa.waiter, {});
+    }
 
     /** Striped fan-out (or a single chunk when interleave is off). */
     void
@@ -776,10 +797,8 @@ class MemorySystem
     {
         if (pa.remaining != 0)
             return;
-#ifndef PGCN_NO_TELEMETRY
         if (tlmLatency_ != nullptr) [[unlikely]]
             noteLatency(pa);
-#endif
     }
 
     /** Cold path: histogram the completed access's latency. */

@@ -4,8 +4,8 @@
  *
  * A DomainSet splits one simulated machine into N event domains —
  * one per PIUMA node or DRAM-slice group — each backed by its own
- * Engine (its own calendar wheel, now queue, completion streams and
- * waitables). Two execution modes share that layout:
+ * Engine (its own calendar wheel, now queue and waitables). Two
+ * execution modes share that layout:
  *
  *  - **Sequenced** (the default, used by the PIUMA model): every
  *    shard is bound to one Engine::SharedState — one clock, one

@@ -29,31 +29,26 @@
  *    events are pending. Because floor(when / width) is monotone in
  *    `when` even under floating-point rounding, bucket order can
  *    never contradict (when, seq) order — the scan always finds the
- *    exact global minimum;
- *  - the "hot heap": a burst of events at *bit-identical* timestamps
- *    (every hardware thread of a kernel issuing its first request at
- *    t=0) lands in one bucket however narrow the width, and scanning
- *    a B-node bucket per pop is O(B^2) for the burst. When the scan
- *    finds more than kHotThreshold current-revolution nodes in the
- *    bucket it lands on, it promotes them into a binary min-heap on
- *    exact (when, seq) — the ladder-queue idea (Tang et al., 2005):
- *    sort only the bucket that is dense. While the heap is non-empty
- *    it holds every pending far event whose bucket is <= the promoted
- *    ("hot") bucket, and the wheel only later buckets, so the heap top
- *    is the far minimum and a burst pop costs O(log B). Small buckets
- *    keep the linear scan;
- *  - "completion streams": FIFO rings of waits whose timestamps are
- *    non-decreasing (everything queued behind one bandwidth-limited
- *    resource completes in reservation order). Only the head of each
- *    stream sits in the far wheel, so the calendar stays shallow and
- *    the events behind the head cost O(1). A wait that would break a
- *    stream's monotonicity (possible only through floating-point
- *    rounding of delayUntil arithmetic) silently falls back to a
- *    plain far event, so ordering never depends on the assumption.
+ *    exact global minimum. Its "hot heap" absorbs bursts: events at
+ *    *bit-identical* timestamps (every hardware thread of a kernel
+ *    issuing its first request at t=0) land in one bucket however
+ *    narrow the width, and scanning a B-node bucket per pop is O(B^2)
+ *    for the burst. When the scan finds more than kHotThreshold
+ *    current-revolution nodes in the bucket it lands on, it promotes
+ *    them into a binary min-heap on exact (when, seq) — the
+ *    ladder-queue idea (Tang et al., 2005): sort only the bucket that
+ *    is dense. While the heap is non-empty it holds every pending far
+ *    event whose bucket is <= the promoted ("hot") bucket, and the
+ *    wheel only later buckets, so the heap top is the far minimum and
+ *    a burst pop costs O(log B). Small buckets keep the linear scan.
+ *
+ * Every timed wait — Engine::delay, BandwidthResource::transfer, a
+ * cross-domain inject — goes through these two arenas; there is no
+ * side channel whose ordering has to be kept consistent with them.
  *
  * Determinism contract: every event is stamped with a global sequence
  * number at schedule time, and run() always dispatches the minimum
- * (when, seq) across all arenas, so the observable order is exactly
+ * (when, seq) across both arenas, so the observable order is exactly
  * the seed engine's single-priority-queue order.
  *
  * Sharded event domains (sim/domain.hpp): several Engine instances
@@ -98,7 +93,6 @@
 
 #include "common/logging.hpp"
 #include "sim/diagnostics.hpp"
-#include "sim/ring.hpp"
 
 namespace pgcn::sim {
 
@@ -139,9 +133,8 @@ class Engine
      * time dispatch reaches each requested simulated timestamp.
      * Observers must only *read* simulation state — scheduling events
      * or mutating agents from a hook would break the determinism
-     * contract. Compiled out entirely under PGCN_NO_TELEMETRY; when
-     * compiled in but not attached, the cost is one predictable
-     * branch per dispatched event.
+     * contract. When not attached, the cost is one predictable branch
+     * per dispatched event.
      */
     struct Observer
     {
@@ -207,10 +200,8 @@ class Engine
         uint64_t callbackEvents = 0;
         size_t pending = 0;
         size_t peakQueueDepth = 0;
-#ifndef PGCN_NO_TELEMETRY
         Observer *observer = nullptr; ///< telemetry sample hook
         SimTime observerNext = 0.0;   ///< next requested sample time
-#endif
         RunLimits limits{};
         bool limitsActive = false;
         std::chrono::steady_clock::time_point wallStart{};
@@ -238,11 +229,6 @@ class Engine
                 destroyFramePayload(farArena_[n].payload);
         for (const Event &ev : hot_)
             destroyFramePayload(ev.payload);
-        for (Stream &st : streams_)
-            while (!st.fifo.empty())
-                std::coroutine_handle<>::from_address(
-                    st.fifo.pop_front().frame)
-                    .destroy();
     }
 
     /**
@@ -371,12 +357,7 @@ class Engine
            << ctx_->callbackEvents << ")\n"
            << "pending events: " << ctx_->pending << " (now-queue "
            << (nowQ_.size() - nowHead_) << ", far wheel " << farCount_
-           << "; peak " << ctx_->peakQueueDepth << ")\n";
-        size_t stream_waits = 0;
-        for (const Stream &st : streams_)
-            stream_waits += st.fifo.size();
-        os << "completion streams: " << streams_.size() << " ("
-           << stream_waits << " parked waits)\n"
+           << "; peak " << ctx_->peakQueueDepth << ")\n"
            << "far-wheel buckets: " << slotHeads_.size() << " (width "
            << wheelWidth_ << " ns); hot heap: " << hot_.size()
            << " events";
@@ -399,19 +380,13 @@ class Engine
 
     /**
      * Attach @p observer, to be first invoked when simulated time
-     * reaches @p first_sample. Pass nullptr to detach. No-op when
-     * telemetry is compiled out.
+     * reaches @p first_sample. Pass nullptr to detach.
      */
     void
     attachObserver(Observer *observer, SimTime first_sample)
     {
-#ifndef PGCN_NO_TELEMETRY
         ctx_->observer = observer;
         ctx_->observerNext = first_sample;
-#else
-        (void)observer;
-        (void)first_sample;
-#endif
     }
 
     /** Current simulated time (ns). */
@@ -586,53 +561,6 @@ class Engine
         return delay(when - ctx_->now);
     }
 
-    /** Identifies one completion stream; see createStream(). */
-    using StreamId = uint32_t;
-
-    /**
-     * Register a completion stream: a wait channel whose resume times
-     * are expected to be non-decreasing (e.g. all waiters queued on
-     * one BandwidthResource). Waits on a stream are O(1); only the
-     * stream's earliest wait occupies the far heap.
-     */
-    StreamId
-    createStream()
-    {
-        streams_.emplace_back();
-        return static_cast<StreamId>(streams_.size() - 1);
-    }
-
-    /**
-     * Stream counterpart of delay(): identical timing and dispatch
-     * order, cheaper when many waits share the stream.
-     */
-    auto
-    streamDelay(StreamId sid, SimTime ns)
-    {
-        struct Awaiter
-        {
-            Engine &engine;
-            StreamId sid;
-            SimTime ns;
-
-            bool await_ready() const noexcept { return ns <= 0.0; }
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                engine.scheduleOnStream(sid, ns, h);
-            }
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this, sid, ns};
-    }
-
-    /** Stream counterpart of delayUntil(). */
-    auto
-    streamDelayUntil(StreamId sid, SimTime when)
-    {
-        return streamDelay(sid, when - ctx_->now);
-    }
-
   private:
     friend class DomainSet;
 
@@ -690,29 +618,12 @@ class Engine
      * What a dispatched event does, in one word. Coroutine frames are
      * new-aligned, so the address's low bits are free for a tag:
      * 0 resumes the frame at this address, kCallbackTag runs
-     * callback-slab entry payload >> 2, kStreamTag dispatches the
-     * head of stream payload >> 2.
+     * callback-slab entry payload >> 2.
      */
     using Payload = uintptr_t;
 
     static constexpr uintptr_t kTagMask = 3;
     static constexpr uintptr_t kCallbackTag = 1;
-    static constexpr uintptr_t kStreamTag = 2;
-
-    /** A wait parked on a completion stream. */
-    struct StreamEvent
-    {
-        SimTime when;
-        uint64_t seq;
-        void *frame;
-        uint32_t depth; ///< dependency-chain length of this event
-    };
-
-    /** One completion stream: (when, seq)-sorted FIFO of waits. */
-    struct Stream
-    {
-        Ring<StreamEvent> fifo;
-    };
 
     /** The 16-byte sort key; keys are stored contiguously. */
     struct Key
@@ -899,20 +810,17 @@ class Engine
             } catch (...) {
                 // The breaching event already left the arenas, so the
                 // destructor cannot see it: release its frame here.
-                // Stream heads and callbacks stay owned by their
-                // stream FIFO / slab.
+                // Callbacks stay owned by the slab.
                 destroyFramePayload(ev.payload);
                 throw;
             }
         }
-#ifndef PGCN_NO_TELEMETRY
         // Telemetry sampling rides the dispatch loop instead of
         // scheduling its own events, so an attached observer can
         // never alter event order or keep the queue alive.
         if (ctx_->observer != nullptr && ctx_->now >= ctx_->observerNext)
             [[unlikely]]
             ctx_->observerNext = ctx_->observer->onSample(ctx_->now, *this);
-#endif
         ++ctx_->eventsProcessed;
         --ctx_->pending;
         const uintptr_t tag = ev.payload & kTagMask;
@@ -923,24 +831,6 @@ class Engine
             std::coroutine_handle<>::from_address(
                 reinterpret_cast<void *>(ev.payload))
                 .resume();
-        } else if (tag == kStreamTag) {
-            Stream &st = streams_[ev.payload >> 2];
-            const StreamEvent se = st.fifo.pop_front();
-            PGCN_ASSERT(se.when == ev.when && se.seq == ev.seq,
-                        "stream head out of sync");
-            // Re-arm the stream's next wait before resuming: the
-            // resumed coroutine may append to this stream. The far
-            // node carries the parked wait's own depth (dispatch
-            // reads it back from the FIFO, but keeping the copies
-            // consistent costs nothing).
-            if (!st.fifo.empty()) {
-                const StreamEvent &nx = st.fifo.front();
-                farPush(Key{nx.when, nx.seq}, ev.payload, nx.depth);
-            }
-            ++ctx_->coroutineEvents;
-            ctx_->curDepth = se.depth;
-            ctx_->maxDepth = std::max<uint64_t>(ctx_->maxDepth, se.depth);
-            std::coroutine_handle<>::from_address(se.frame).resume();
         } else {
             ++ctx_->callbackEvents;
             ctx_->curDepth = ev.depth;
@@ -953,37 +843,6 @@ class Engine
             freeCallbackSlots_.push_back(slot);
             fn();
         }
-    }
-
-    /**
-     * Park @p h on stream @p sid, to resume @p ns from now. Timing and
-     * global dispatch order are identical to schedule(): the event is
-     * stamped with the next global sequence number, and the stream's
-     * minimum (when, seq) is always present in the far heap. Appends
-     * that would sort before the stream's tail (floating-point
-     * rounding artefacts) fall back to plain heap events.
-     */
-    void
-    scheduleOnStream(StreamId sid, SimTime ns, std::coroutine_handle<> h)
-    {
-        PGCN_ASSERT(ns > 0.0, "stream wait must be in the future");
-        const SimTime when = ctx_->now + ns;
-        const uint64_t seq = ctx_->nextSeq++;
-        const uint32_t depth = ctx_->curDepth + 1;
-        Stream &st = streams_[sid];
-        if (!st.fifo.empty() && when < st.fifo.back().when) {
-            farPush(Key{when, seq},
-                    reinterpret_cast<uintptr_t>(h.address()), depth);
-        } else {
-            if (st.fifo.empty()) {
-                farPush(Key{when, seq},
-                        (static_cast<uintptr_t>(sid) << 2) | kStreamTag,
-                        depth);
-            }
-            st.fifo.push_back(StreamEvent{when, seq, h.address(), depth});
-        }
-        ++ctx_->pending;
-        ctx_->peakQueueDepth = std::max(ctx_->peakQueueDepth, ctx_->pending);
     }
 
     /** Absolute calendar-bucket index of @p when. Monotone in when. */
@@ -1291,7 +1150,6 @@ class Engine
     size_t nowHead_ = 0;                ///< dispatch cursor into nowQ_
     std::vector<std::function<void()>> callbackSlab_;
     std::vector<size_t> freeCallbackSlots_;
-    std::vector<Stream> streams_;       ///< completion streams
     std::vector<Waitable *> waitables_; ///< deadlock-report registry
     std::unordered_map<void *, std::string> agentNames_;
     uint64_t arenaGrowths_ = 0;

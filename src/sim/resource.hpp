@@ -38,8 +38,7 @@ class BandwidthResource
      */
     BandwidthResource(Engine &engine, double rate,
                       std::string name = "bandwidth")
-        : engine_(engine), rate_(rate), stream_(engine.createStream()),
-          name_(std::move(name))
+        : engine_(engine), rate_(rate), name_(std::move(name))
     {
         PGCN_ASSERT(rate > 0.0, "resource rate must be positive");
     }
@@ -84,42 +83,33 @@ class BandwidthResource
         busyTime_ += duration;
         totalUnits_ += amount;
         ++requests_;
-#ifndef PGCN_NO_TELEMETRY
         // The (start, nextFree_) pair is exactly the busy span an
         // occupancy monitor wants; recording it cannot affect timing.
         if (monitor_ != nullptr) [[unlikely]]
             monitor_->addSpan(start, nextFree_);
-#endif
         return nextFree_;
     }
 
     /**
      * Mirror every reservation's busy span onto @p timeline (pass
      * nullptr to detach). Follows the telemetry idiom: one predictable
-     * branch when unattached, compiled out under PGCN_NO_TELEMETRY.
+     * branch when unattached.
      */
     void
     attachMonitor(Timeline *timeline)
     {
-#ifndef PGCN_NO_TELEMETRY
         monitor_ = timeline;
-#else
-        (void)timeline;
-#endif
     }
 
     /**
      * Awaitable: reserve @p amount and suspend until service
      * completes (queueing + transfer, not including any downstream
-     * latency the caller adds). Because completions leave the
-     * resource in reservation order, the wait parks on this
-     * resource's completion stream — O(1) however many threads are
-     * queued behind it.
+     * latency the caller adds).
      */
     auto
     transfer(double amount)
     {
-        return engine_.streamDelayUntil(stream_, reserve(amount));
+        return engine_.delayUntil(reserve(amount));
     }
 
     /** Earliest time a new request would start service. */
@@ -148,11 +138,8 @@ class BandwidthResource
   private:
     Engine &engine_;
     double rate_;
-    Engine::StreamId stream_; ///< completion stream for transfer()
     std::string name_;
-#ifndef PGCN_NO_TELEMETRY
     Timeline *monitor_ = nullptr; ///< busy-span sink (occupancy)
-#endif
     SimTime nextFree_ = 0.0;
     double busyTime_ = 0.0;
     double totalUnits_ = 0.0;

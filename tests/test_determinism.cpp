@@ -11,8 +11,8 @@
  *  2. Golden values: simulated results captured from the seed
  *     implementation (single std::priority_queue of std::function
  *     events). Any event-engine change — arenas, now queue, calendar
- *     wheel, completion streams, compiler-flag changes — must
- *     reproduce these bits exactly, proving it altered wall-clock
+ *     wheel, hot heap, removing a wait path, compiler-flag changes —
+ *     must reproduce these bits exactly, proving it altered wall-clock
  *     behaviour only, never simulated results. If a change breaks
  *     these on purpose (a *model* change), re-derive the constants
  *     from the previous commit and say so in the commit message.

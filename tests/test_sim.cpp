@@ -313,29 +313,37 @@ TEST(Engine, ReservedArenasNeverGrowOnResumePath)
 {
     // With pre-sized arenas, a pure coroutine workload performs no
     // per-event allocation: the growth counter stays at zero across
-    // tens of thousands of dispatches.
-    Engine engine;
+    // tens of thousands of dispatches. Half the agents sleep; the
+    // other half queue transfers on one shared BandwidthResource, so
+    // resource waits are covered by the same contract as delays.
     constexpr int kAgents = 64;
-    engine.reserveEvents(kAgents, kAgents);
-    for (int a = 0; a < kAgents; ++a) {
-        [](Engine &eng, int id) -> Process {
-            for (int i = 0; i < 200; ++i)
-                co_await eng.delay(1.0 + 0.25 * (id % 4));
-        }(engine, a);
-    }
+    constexpr int kRounds = 200;
+    auto spawn = [](Engine &eng, BandwidthResource &link) {
+        for (int a = 0; a < kAgents; ++a) {
+            [](Engine &e, int id) -> Process {
+                for (int i = 0; i < kRounds; ++i)
+                    co_await e.delay(1.0 + 0.25 * (id % 4));
+            }(eng, a);
+            [](BandwidthResource &res, int id) -> Process {
+                for (int i = 0; i < kRounds; ++i)
+                    co_await res.transfer(1.0 + (id % 3));
+            }(link, a);
+        }
+    };
+    Engine engine;
+    engine.reserveEvents(2 * kAgents, kAgents);
+    BandwidthResource link(engine, 4.0, "shared-link");
+    spawn(engine, link);
     engine.run();
     EXPECT_EQ(engine.arenaGrowths(), 0u);
-    EXPECT_EQ(engine.coroutineEvents(), 64u * 200u);
+    EXPECT_EQ(engine.coroutineEvents(), 2u * kAgents * kRounds);
+    EXPECT_EQ(link.requests(), static_cast<uint64_t>(kAgents) * kRounds);
 
     // Sanity: the counter does count — the same workload without
     // reserveEvents() must grow the arenas at least once.
     Engine cold;
-    for (int a = 0; a < kAgents; ++a) {
-        [](Engine &eng, int id) -> Process {
-            for (int i = 0; i < 200; ++i)
-                co_await eng.delay(1.0 + 0.25 * (id % 4));
-        }(cold, a);
-    }
+    BandwidthResource cold_link(cold, 4.0, "shared-link");
+    spawn(cold, cold_link);
     cold.run();
     EXPECT_GT(cold.arenaGrowths(), 0u);
 }
