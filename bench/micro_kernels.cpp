@@ -2,7 +2,8 @@
  * @file
  * Google-benchmark microbenchmarks for the functional host kernels:
  * SpMM variants (reference / vertex / edge / NNZ-balanced / tiled),
- * dense GEMM (packed SIMD vs the previous blocked scalar loop), the
+ * dense GEMM (packed SIMD on one thread and on the pool, vs the
+ * previous blocked scalar loop), the
  * fused SpMM->GEMM layer, graph generation and normalisation. These
  * measure real wall-clock throughput of the library's executable
  * kernels on this machine (as opposed to the modelled platforms of
@@ -251,6 +252,55 @@ BM_DenseMmBlocked(benchmark::State &state)
     setGemmCounters(state, n);
 }
 BENCHMARK(BM_DenseMmBlocked)->Arg(64)->Arg(256);
+
+/**
+ * GEMM at the host-infer layer shape, args (m, k, n): the |V| x 128
+ * hidden features times a 128 x 128 weight. @p pool null runs the
+ * single-thread call. Both registrations time by wall clock
+ * (UseRealTime): CPU time would count only the calling thread.
+ */
+void
+runLayerGemm(benchmark::State &state, parallel::ThreadPool *pool)
+{
+    const auto m = static_cast<uint64_t>(state.range(0));
+    const auto k = static_cast<uint64_t>(state.range(1));
+    const auto n = static_cast<uint64_t>(state.range(2));
+    tensor::DenseMatrix a(m, k), b(k, n), out;
+    a.fillRandom(1);
+    b.fillRandom(2);
+    for (auto _ : state) {
+        if (pool != nullptr)
+            tensor::denseMmBlocked(a, b, out, *pool);
+        else
+            tensor::denseMmBlocked(a, b, out);
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    const double flops = 2.0 * static_cast<double>(m) *
+                         static_cast<double>(k) * static_cast<double>(n);
+    setFlopsCounters(state, flops,
+                     xeon::denseMmTimeNs(hostRoofline(), m, k, n, 1));
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(2 * m * k * n));
+}
+
+void
+BM_DenseMmBlockedLayer(benchmark::State &state)
+{
+    runLayerGemm(state, nullptr);
+}
+BENCHMARK(BM_DenseMmBlockedLayer)
+    ->Name("BM_DenseMmBlocked")
+    ->Args({65536, 128, 128})
+    ->UseRealTime();
+
+void
+BM_DenseMmPooled(benchmark::State &state)
+{
+    parallel::ThreadPool pool; // one thread per hardware thread
+    runLayerGemm(state, &pool);
+}
+BENCHMARK(BM_DenseMmPooled)->Args({65536, 128, 128})->UseRealTime();
 
 void
 BM_DenseMmBlockedScalar(benchmark::State &state)

@@ -65,7 +65,6 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
     }
 
     KernelBreakdown breakdown;
-    DenseMatrix h = features;
     auto run_spmm = [&](const DenseMatrix &in, DenseMatrix &out) {
         const double t0 = nowNs();
         switch (spmm_kind) {
@@ -85,7 +84,7 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
     auto run_dense = [&](const DenseMatrix &in, const DenseMatrix &w,
                          DenseMatrix &out) {
         const double t0 = nowNs();
-        tensor::denseMmBlocked(in, w, out);
+        tensor::denseMmBlocked(in, w, out, pool);
         breakdown.denseNs += nowNs() - t0;
     };
     // The fused path times one combined pass; split it between the
@@ -111,6 +110,9 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
 
     // Ping-pong buffers hoisted out of the layer loop: each layer
     // reshapes into existing capacity instead of allocating afresh.
+    // Layer 0 reads the caller's features in place; no layer writes
+    // its own input, so they are never copied.
+    DenseMatrix h;
     DenseMatrix mid;
     DenseMatrix result;
     const bool fuse =
@@ -118,17 +120,18 @@ GcnModel::infer(const graph::Csr &adjacency, const DenseMatrix &features,
         config_.order == LayerOrder::AggregateThenTransform;
     for (size_t l = 0; l < weights_.size(); ++l) {
         const bool inner = l + 1 < weights_.size();
+        const DenseMatrix &in = l == 0 ? features : h;
         if (fuse) {
             // act((A H) W) in one pass; the aggregate tile never
             // leaves cache and ReLU runs on hot output rows.
-            run_fused(h, weights_[l], result, inner);
+            run_fused(in, weights_[l], result, inner);
         } else if (config_.order == LayerOrder::TransformThenAggregate) {
             // A (H W): update first, aggregate at K_out.
-            run_dense(h, weights_[l], mid);
+            run_dense(in, weights_[l], mid);
             run_spmm(mid, result);
         } else {
             // (A H) W: the paper's Eq. 1 order, aggregate at K_in.
-            run_spmm(h, mid);
+            run_spmm(in, mid);
             run_dense(mid, weights_[l], result);
         }
 

@@ -59,9 +59,16 @@ class GcnModel
     /**
      * Run inference: features -> logits.
      *
+     * Both halves of every layer run on @p pool: the SpMM kernel
+     * chosen by @p spmm_kind and the packed GEMM, whose row panels
+     * are split over the pool (tensor::denseMmBlocked). The GEMM's
+     * output is bit-identical to the single-thread call at any pool
+     * size. Layer 0 reads @p features in place; they are neither
+     * copied nor modified.
+     *
      * @param adjacency Normalised adjacency A~ (|V| x |V|).
      * @param features Input features (|V| x inputDim).
-     * @param pool Thread pool for the parallel kernels.
+     * @param pool Thread pool for the SpMM and GEMM kernels.
      * @param spmm_kind Which SpMM implementation to use.
      * @param breakdown_out If non-null, receives the measured
      *        wall-clock breakdown (SpMM / Dense MM / Glue).

@@ -12,23 +12,6 @@ using graph::Csr;
 using graph::VertexId;
 using tensor::DenseMatrix;
 
-namespace {
-
-/** Lazily-grown per-thread buffer for the packed weight panel. */
-float *
-packScratch(uint64_t elems)
-{
-    static thread_local simd::AlignedBuffer buf;
-    static thread_local uint64_t cap = 0;
-    if (cap < elems) {
-        buf = simd::makeAlignedBuffer(elems);
-        cap = elems;
-    }
-    return buf.get();
-}
-
-} // namespace
-
 void
 fusedSpmmGemm(const Csr &a, const DenseMatrix &h_in, const DenseMatrix &w,
               DenseMatrix &h_out, parallel::ThreadPool &pool,
@@ -52,7 +35,7 @@ fusedSpmmGemm(const Csr &a, const DenseMatrix &h_in, const DenseMatrix &w,
         return;
 
     const auto &ops = simd::ops();
-    float *pack = packScratch(simd::gemmPackBufferElems(k_out, k_in));
+    float *pack = simd::gemmPackScratch(k_out, k_in);
     ops.gemmPackB(w.data(), k_out, k_out, k_in, pack);
 
     const auto bounds =

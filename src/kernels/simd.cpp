@@ -150,6 +150,19 @@ gemmPackBufferElems(uint64_t n, uint64_t kk)
     return n_rounded * kk;
 }
 
+float *
+gemmPackScratch(uint64_t n, uint64_t kk)
+{
+    thread_local AlignedBuffer buf;
+    thread_local uint64_t buf_elems = 0;
+    const uint64_t elems = gemmPackBufferElems(n, kk);
+    if (elems > buf_elems) {
+        buf = makeAlignedBuffer(elems);
+        buf_elems = elems;
+    }
+    return buf.get();
+}
+
 std::vector<Tier>
 availableTiers()
 {

@@ -109,10 +109,27 @@ struct Ops
 };
 
 /**
+ * Rows per GEMM register tile (MR). gemmPrepacked walks A in MR-row
+ * panels, so callers that split A's rows across threads on MR
+ * boundaries give every row the same micro-kernel as one call would.
+ */
+inline constexpr uint64_t kGemmMr = 6;
+
+/**
  * Elements of pack-buffer space gemmPackB needs for a kk x n B
  * operand, valid for every tier (sized for the widest panel).
  */
 uint64_t gemmPackBufferElems(uint64_t n, uint64_t kk);
+
+/**
+ * The calling thread's pack buffer for a kk x n B operand: at least
+ * gemmPackBufferElems(n, kk) floats, 64-byte aligned, grown on demand
+ * and reused across calls so repeated layer updates do not
+ * re-allocate (and re-fault) panel storage. Contents are unspecified;
+ * the pointer stays valid until the same thread's next call, so other
+ * threads may read a B packed into it for the duration of one GEMM.
+ */
+float *gemmPackScratch(uint64_t n, uint64_t kk);
 
 /** Tiers compiled into this binary AND supported by this CPU. */
 std::vector<Tier> availableTiers();

@@ -30,8 +30,6 @@
 
 namespace pgcn::kernels::simd::detail {
 
-/** Rows per GEMM register tile. */
-inline constexpr uint64_t kGemmMr = 6;
 /** Inner-dimension cache block of the packed GEMM. */
 inline constexpr uint64_t kGemmKc = 256;
 /** Widest panel across tiers (AVX-512: NR = 2 * 16). */

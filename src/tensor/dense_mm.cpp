@@ -18,19 +18,33 @@ checkGemmShapes(const DenseMatrix &a, const DenseMatrix &b)
 }
 
 /**
- * Per-thread pack scratch, reused across GEMM calls so repeated
- * layer updates do not re-allocate (and re-fault) panel storage.
+ * Check shapes, shape @p out for a * b and pack @p b into the calling
+ * thread's scratch. A zero dimension needs no special case: the pack
+ * and micro-kernel loops are empty on it, and kk == 0 zero-fills out.
+ *
+ * @return The packed B, read-only for every thread of a pooled call.
  */
-float *
-packScratch(uint64_t elems)
+const float *
+prepareGemm(const DenseMatrix &a, const DenseMatrix &b, DenseMatrix &out)
 {
-    thread_local kernels::simd::AlignedBuffer buf;
-    thread_local uint64_t buf_elems = 0;
-    if (elems > buf_elems) {
-        buf = kernels::simd::makeAlignedBuffer(elems);
-        buf_elems = elems;
-    }
-    return buf.get();
+    checkGemmShapes(a, b);
+    out.resizeForOverwrite(a.rows(), b.cols());
+    float *pack = kernels::simd::gemmPackScratch(b.cols(), b.rows());
+    kernels::simd::ops().gemmPackB(b.data(), b.cols(), b.cols(), b.rows(),
+                                   pack);
+    return pack;
+}
+
+/** out rows [r0, r1) = a rows [r0, r1) * packed B (overwrite). */
+void
+gemmRows(const DenseMatrix &a, const float *packed_b, DenseMatrix &out,
+         uint64_t r0, uint64_t r1)
+{
+    const uint64_t kk = a.cols();
+    const uint64_t n = out.cols();
+    kernels::simd::ops().gemmPrepacked(a.data() + r0 * kk, kk, packed_b,
+                                       out.data() + r0 * n, n, r1 - r0, n,
+                                       kk, /*accumulate=*/false);
 }
 
 } // namespace
@@ -55,23 +69,26 @@ denseMmReference(const DenseMatrix &a, const DenseMatrix &b,
 }
 
 void
-denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b, DenseMatrix &out,
-               uint64_t block)
+denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b, DenseMatrix &out)
 {
-    (void)block;
-    checkGemmShapes(a, b);
-    const uint64_t m = a.rows();
-    const uint64_t kk = a.cols();
-    const uint64_t n = b.cols();
-    out.resizeForOverwrite(m, n);
-    if (m == 0 || n == 0)
-        return;
+    const float *pack = prepareGemm(a, b, out);
+    gemmRows(a, pack, out, 0, a.rows());
+}
 
-    const auto &ops = kernels::simd::ops();
-    float *pack = packScratch(kernels::simd::gemmPackBufferElems(n, kk));
-    ops.gemmPackB(b.data(), n, n, kk, pack);
-    ops.gemmPrepacked(a.data(), kk, pack, out.data(), n, m, n, kk,
-                      /*accumulate=*/false);
+void
+denseMmBlocked(const DenseMatrix &a, const DenseMatrix &b, DenseMatrix &out,
+               parallel::ThreadPool &pool)
+{
+    const float *pack = prepareGemm(a, b, out);
+    // Whole MR-row panels per thread: each row meets the same
+    // micro-kernel and k-order as in the single-thread call.
+    constexpr uint64_t mr = kernels::simd::kGemmMr;
+    const uint64_t m = a.rows();
+    pool.parallelFor((m + mr - 1) / mr, parallel::Schedule::Static, 1,
+                     [&](unsigned, uint64_t p0, uint64_t p1) {
+                         gemmRows(a, pack, out, p0 * mr,
+                                  std::min(p1 * mr, m));
+                     });
 }
 
 void

@@ -6,6 +6,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/breakdown.hpp"
 #include "core/gcn.hpp"
 #include "core/gcn_config.hpp"
@@ -127,6 +129,66 @@ TEST_F(GcnInference, MatchesManualLayerComposition)
 
     EXPECT_TRUE(allClose(out, h2, 1e-3f, 1e-4f))
         << "max diff " << maxAbsDiff(out, h2);
+}
+
+TEST_F(GcnInference, PooledGemmLogitsBitIdenticalToSingleThreadComposition)
+{
+    GcnModelConfig cfg;
+    cfg.inputDim = 32;
+    cfg.hiddenDim = 16;
+    cfg.outputDim = 5;
+    const tensor::DenseMatrix features_before = features_;
+    for (const auto order : {LayerOrder::TransformThenAggregate,
+                             LayerOrder::AggregateThenTransform}) {
+        cfg.order = order;
+        GcnModel model(cfg);
+        for (const unsigned threads : {1u, 3u, 4u}) {
+            parallel::ThreadPool pool(threads);
+            for (const auto kind :
+                 {CpuSpmmKind::VertexParallel, CpuSpmmKind::NnzBalanced}) {
+                auto spmm = [&](const tensor::DenseMatrix &in,
+                                tensor::DenseMatrix &out) {
+                    if (kind == CpuSpmmKind::VertexParallel)
+                        kernels::spmmVertexParallel(*adjacency_, in, out,
+                                                    pool);
+                    else
+                        kernels::spmmNnzBalanced(*adjacency_, in, out,
+                                                 pool);
+                };
+                // Hand composition with the single-thread GEMM.
+                tensor::DenseMatrix h = features_, mid, next;
+                for (unsigned l = 0; l < cfg.numLayers; ++l) {
+                    if (order == LayerOrder::TransformThenAggregate) {
+                        tensor::denseMmBlocked(h, model.weights(l), mid);
+                        spmm(mid, next);
+                    } else {
+                        spmm(h, mid);
+                        tensor::denseMmBlocked(mid, model.weights(l), next);
+                    }
+                    if (l + 1 < cfg.numLayers)
+                        tensor::reluInPlace(next);
+                    std::swap(h, next);
+                }
+
+                const auto out =
+                    model.infer(*adjacency_, features_, pool, kind);
+                ASSERT_EQ(out.rows(), h.rows());
+                ASSERT_EQ(out.cols(), h.cols());
+                EXPECT_EQ(std::memcmp(out.data(), h.data(),
+                                      out.size() * sizeof(float)),
+                          0)
+                    << "order " << static_cast<int>(order) << ", "
+                    << threads << " threads, kind "
+                    << static_cast<int>(kind) << ", max diff "
+                    << maxAbsDiff(out, h);
+                EXPECT_EQ(std::memcmp(features_.data(),
+                                      features_before.data(),
+                                      features_.size() * sizeof(float)),
+                          0)
+                    << "infer modified its input features";
+            }
+        }
+    }
 }
 
 TEST_F(GcnInference, EdgeParallelAgreesWithVertexParallel)

@@ -5,8 +5,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <tuple>
 
+#include "parallel/thread_pool.hpp"
 #include "tensor/dense_matrix.hpp"
 #include "tensor/dense_mm.hpp"
 
@@ -93,9 +95,21 @@ TEST(DenseMm, KnownSmallProduct)
     EXPECT_FLOAT_EQ(out.at(1, 1), 50.0f);
 }
 
-/** Blocked GEMM must agree with the reference across shapes that
- * exercise every block-boundary case (exact multiple, remainder,
- * smaller-than-block). */
+/** Same shape and the same bits, element for element. */
+bool
+bitIdentical(const DenseMatrix &x, const DenseMatrix &y)
+{
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           (x.size() == 0 ||
+            std::memcmp(x.data(), y.data(), x.size() * sizeof(float)) ==
+                0);
+}
+
+/** Packed GEMM, single-thread and pooled, across shapes that exercise
+ * every tile-boundary case: m off the 6-row panel grid, fewer panels
+ * than threads (idle threads), kk over two KC panels, and empty
+ * dimensions. The fourth value is the block size of the scalar
+ * blocked oracle (exact multiple, remainder, smaller-than-block). */
 class BlockedGemmShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int, int>>
 {
@@ -107,11 +121,22 @@ TEST_P(BlockedGemmShapes, MatchesReference)
     DenseMatrix a(m, k), b(k, n);
     a.fillRandom(m * 131 + k);
     b.fillRandom(n * 17 + 5);
-    DenseMatrix ref, out;
+    DenseMatrix ref, scalar, out;
     denseMmReference(a, b, ref);
-    denseMmBlocked(a, b, out, block);
+    denseMmBlockedScalar(a, b, scalar, block);
+    denseMmBlocked(a, b, out);
     EXPECT_TRUE(allClose(ref, out, 1e-4f, 1e-4f))
         << "max diff " << maxAbsDiff(ref, out);
+    EXPECT_TRUE(allClose(ref, scalar, 1e-4f, 1e-4f))
+        << "scalar max diff " << maxAbsDiff(ref, scalar);
+
+    // Row panels split over the pool: the same bits at every size.
+    for (unsigned threads : {1u, 2u, 3u, 4u}) {
+        pgcn::parallel::ThreadPool pool(threads);
+        DenseMatrix pooled;
+        denseMmBlocked(a, b, pooled, pool);
+        EXPECT_TRUE(bitIdentical(out, pooled)) << threads << " threads";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -122,7 +147,15 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(65, 63, 31, 16),
                       std::make_tuple(3, 100, 7, 32),
                       std::make_tuple(128, 16, 256, 64),
-                      std::make_tuple(37, 41, 43, 8)));
+                      std::make_tuple(37, 41, 43, 8),
+                      std::make_tuple(5, 9, 17, 4),    // m < MR
+                      std::make_tuple(7, 16, 33, 8),   // 2 panels
+                      std::make_tuple(13, 20, 40, 8),  // 3 panels
+                      std::make_tuple(25, 32, 48, 16), // 6 * 4 + 1
+                      std::make_tuple(50, 300, 70, 64), // kk > KC
+                      std::make_tuple(0, 8, 8, 4),
+                      std::make_tuple(8, 8, 0, 4),
+                      std::make_tuple(8, 0, 8, 4)));
 
 TEST(Relu, ClampsNegatives)
 {
