@@ -132,7 +132,8 @@ BM_SpmmVertexParallel(benchmark::State &state)
 BENCHMARK(BM_SpmmVertexParallel)
     ->Args({12, 32})
     ->Args({14, 32})
-    ->Args({14, 128});
+    ->Args({14, 128})
+    ->UseRealTime();
 
 void
 BM_SpmmEdgeParallel(benchmark::State &state)
@@ -149,7 +150,10 @@ BM_SpmmEdgeParallel(benchmark::State &state)
     }
     setSpmmCounters(state, csr, k);
 }
-BENCHMARK(BM_SpmmEdgeParallel)->Args({12, 32})->Args({14, 32});
+BENCHMARK(BM_SpmmEdgeParallel)
+    ->Args({12, 32})
+    ->Args({14, 32})
+    ->UseRealTime();
 
 void
 BM_SpmmNnzBalanced(benchmark::State &state)
@@ -169,7 +173,8 @@ BM_SpmmNnzBalanced(benchmark::State &state)
 BENCHMARK(BM_SpmmNnzBalanced)
     ->Args({12, 32})
     ->Args({14, 32})
-    ->Args({14, 128});
+    ->Args({14, 128})
+    ->UseRealTime();
 
 void
 BM_SpmmTiled(benchmark::State &state)
@@ -191,7 +196,8 @@ BM_SpmmTiled(benchmark::State &state)
 }
 BENCHMARK(BM_SpmmTiled)
     ->Args({14, 128, 1 << 20}) // one tile
-    ->Args({14, 128, 256});    // many small tiles
+    ->Args({14, 128, 256})     // many small tiles
+    ->UseRealTime();
 
 void
 BM_FusedGcnLayer(benchmark::State &state)
@@ -225,7 +231,10 @@ BM_FusedGcnLayer(benchmark::State &state)
     state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                             static_cast<int64_t>(csr.numEdges()));
 }
-BENCHMARK(BM_FusedGcnLayer)->Args({14, 128, 128})->Args({14, 128, 16});
+BENCHMARK(BM_FusedGcnLayer)
+    ->Args({14, 128, 128})
+    ->Args({14, 128, 16})
+    ->UseRealTime();
 
 void
 setGemmCounters(benchmark::State &state, uint64_t n)
@@ -342,8 +351,10 @@ BM_Normalization(benchmark::State &state)
         auto csr = graph::normalizedAdjacency(coo);
         benchmark::DoNotOptimize(csr.numEdges());
     }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            static_cast<int64_t>(coo.numEdges()));
 }
-BENCHMARK(BM_Normalization)->Arg(12)->Arg(14);
+BENCHMARK(BM_Normalization)->Arg(12)->Arg(14)->Arg(16);
 
 } // namespace
 

@@ -1,8 +1,10 @@
 /**
  * @file
- * Coordinate-format (COO) edge list and the graph-cleaning pipeline
- * used before CSR conversion: sorting, de-duplication, self-loop
- * handling and symmetrization.
+ * Coordinate-format (COO) edge list and its cleaning passes: sorting,
+ * de-duplication, self-loop handling and symmetrization. Csr(const
+ * Coo &) and normalizedAdjacency sort, de-duplicate and symmetrize in
+ * their own counting-sort build and need none of them; the tests use
+ * the passes as the reference for that build.
  */
 #ifndef PGCN_GRAPH_COO_HPP
 #define PGCN_GRAPH_COO_HPP
@@ -29,8 +31,8 @@ struct Edge
 
 /**
  * A mutable edge list with a fixed vertex count. This is the
- * construction format: generators append edges here, the cleaning
- * passes normalise it, and Csr is built from it.
+ * construction format: generators and loaders append edges here, and
+ * Csr is built from it.
  */
 class Coo
 {

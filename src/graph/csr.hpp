@@ -26,9 +26,11 @@ class Csr
 {
   public:
     /**
-     * Build from a COO edge list. The edge list is sorted/deduplicated
-     * internally (on a copy) if needed; edge (u, v, w) becomes
-     * non-zero A[u][v] = w.
+     * Build from a COO edge list with a stable counting sort (no copy
+     * of the list, no comparison sort): edge (u, v, w) becomes
+     * non-zero A[u][v] = w, each row's columns are strictly increasing,
+     * and duplicate edges collapse to one non-zero whose weight is their
+     * sum, added in input order.
      *
      * @param coo Source edge list.
      */

@@ -1,6 +1,9 @@
 #include "graph/generators.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
+#include <vector>
 
 #include "common/logging.hpp"
 #include "common/rng.hpp"
@@ -20,6 +23,17 @@ rmatUniform()
     return RmatParams{0.25, 0.25, 0.25, 0.25, 0.0};
 }
 
+namespace {
+
+/**
+ * Edges generated side by side. One edge's levels form a chain of
+ * dependent divides; running the levels of a batch of edges together
+ * gives the core independent chains to overlap.
+ */
+constexpr size_t kRmatBatch = 64;
+
+} // namespace
+
 Coo
 generateRmat(uint32_t scale, EdgeId num_edges, const RmatParams &params,
              uint64_t seed)
@@ -33,41 +47,66 @@ generateRmat(uint32_t scale, EdgeId num_edges, const RmatParams &params,
     Coo coo(n);
     Rng rng(seed);
 
-    for (EdgeId i = 0; i < num_edges; ++i) {
-        VertexId row = 0;
-        VertexId col = 0;
-        double a = params.a, b = params.b, c = params.c, d = params.d;
+    // Every level draws the quadrant, then with noise one jitter for
+    // each of a, b, c, d. A batch takes its draws edge by edge in that
+    // order, so the stream matches one-edge-at-a-time generation, and
+    // stores them level-major: draws[k * kRmatBatch + edge].
+    const bool noisy = params.noise > 0.0;
+    const size_t draws_per_level = noisy ? 5 : 1;
+    const size_t draws_per_edge = scale * draws_per_level;
+    const double jitter_lo = 1.0 - params.noise;
+    const double jitter_span = 2.0 * params.noise;
+    std::vector<double> draws(draws_per_edge * kRmatBatch);
+    std::array<double, kRmatBatch> a{}, b{}, c{}, d{};
+    std::array<VertexId, kRmatBatch> row{}, col{};
+
+    for (EdgeId first = 0; first < num_edges; first += kRmatBatch) {
+        const auto count = static_cast<size_t>(
+            std::min<EdgeId>(kRmatBatch, num_edges - first));
+        for (size_t i = 0; i < count; ++i) {
+            for (size_t k = 0; k < draws_per_edge; ++k)
+                draws[k * kRmatBatch + i] = rng.uniform();
+        }
+        a.fill(params.a);
+        b.fill(params.b);
+        c.fill(params.c);
+        d.fill(params.d);
+        row.fill(0);
+        col.fill(0);
         for (uint32_t level = 0; level < scale; ++level) {
-            const double r = rng.uniform();
-            if (r < a) {
-                // top-left quadrant: no bit set
-            } else if (r < a + b) {
-                col |= VertexId{1} << (scale - 1 - level);
-            } else if (r < a + b + c) {
-                row |= VertexId{1} << (scale - 1 - level);
-            } else {
-                row |= VertexId{1} << (scale - 1 - level);
-                col |= VertexId{1} << (scale - 1 - level);
+            const VertexId bit = VertexId{1} << (scale - 1 - level);
+            const double *r = &draws[level * draws_per_level * kRmatBatch];
+            for (size_t i = 0; i < count; ++i) {
+                // Quadrants [0,a) none, [a,a+b) col, [a+b,a+b+c) row,
+                // the rest both.
+                const double ab = a[i] + b[i];
+                if (r[i] >= ab)
+                    row[i] |= bit;
+                if ((r[i] >= a[i] && r[i] < ab) || r[i] >= ab + c[i])
+                    col[i] |= bit;
             }
-            if (params.noise > 0.0) {
-                // Multiplicative noise, renormalised, as in SNAP's
-                // smoothed RMAT to break the staircase artefact.
-                auto jitter = [&](double p) {
-                    return p * (1.0 - params.noise +
-                                2.0 * params.noise * rng.uniform());
-                };
-                a = jitter(a);
-                b = jitter(b);
-                c = jitter(c);
-                d = jitter(d);
-                const double s = a + b + c + d;
-                a /= s;
-                b /= s;
-                c /= s;
-                d /= s;
+            if (!noisy)
+                continue;
+            // Multiplicative noise, renormalised, as in SNAP's smoothed
+            // RMAT to break the staircase artefact.
+            const double *ja = r + kRmatBatch;
+            const double *jb = r + 2 * kRmatBatch;
+            const double *jc = r + 3 * kRmatBatch;
+            const double *jd = r + 4 * kRmatBatch;
+            for (size_t i = 0; i < count; ++i) {
+                const double na = a[i] * (jitter_lo + jitter_span * ja[i]);
+                const double nb = b[i] * (jitter_lo + jitter_span * jb[i]);
+                const double nc = c[i] * (jitter_lo + jitter_span * jc[i]);
+                const double nd = d[i] * (jitter_lo + jitter_span * jd[i]);
+                const double s = na + nb + nc + nd;
+                a[i] = na / s;
+                b[i] = nb / s;
+                c[i] = nc / s;
+                d[i] = nd / s;
             }
         }
-        coo.addEdge(row, col);
+        for (size_t i = 0; i < count; ++i)
+            coo.addEdge(row[i], col[i]);
     }
     return coo;
 }

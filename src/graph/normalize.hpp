@@ -14,23 +14,17 @@ namespace pgcn::graph {
 /**
  * Build the symmetric-normalised adjacency matrix used by GCN layers.
  *
- * Pipeline: drop existing self loops, symmetrize, add unit self loops,
- * then scale every non-zero (u, v) by 1/sqrt(deg(u) * deg(v)).
+ * One counting-sort build, no comparison sort and no intermediate
+ * matrix: the structure is the symmetrized edge set without its self
+ * loops, plus one unit loop per vertex (input weights and duplicates
+ * play no part), and every non-zero (u, v) is
+ * float(1/sqrt(double(deg(u))) * 1/sqrt(double(deg(v)))). Defined in
+ * csr.cpp, next to Csr(const Coo &), whose row builder it shares.
  *
  * @param coo Raw (possibly directed, possibly multi-) edge list.
- * @return CSR of A~ with row sums' spectral radius <= 1.
+ * @return CSR of A~ with sorted rows and spectral radius <= 1.
  */
 Csr normalizedAdjacency(const Coo &coo);
-
-/**
- * Scale the non-zeros of an existing CSR in the same way, without the
- * symmetrize/self-loop pipeline. Degree here means row length, i.e.
- * the matrix is assumed already structurally symmetric with loops.
- *
- * @param csr Structurally prepared adjacency.
- * @return CSR with values replaced by 1/sqrt(deg(u) deg(v)).
- */
-Csr symNormalizeValues(const Csr &csr);
 
 } // namespace pgcn::graph
 

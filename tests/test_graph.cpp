@@ -7,10 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
+#include <string>
 
 #include "common/error.hpp"
+#include "common/manifest.hpp"
 #include "graph/coo.hpp"
 #include "graph/csr.hpp"
 #include "graph/datasets.hpp"
@@ -187,6 +190,214 @@ TEST(Normalize, IsolatedVertexGetsUnitSelfLoop)
     // Isolated vertex has only its self loop, normalised to 1/1.
     EXPECT_EQ(norm.degree(2), 1u);
     EXPECT_FLOAT_EQ(norm.rowVals(2)[0], 1.0f);
+}
+
+// ------------------------------------------- differential graph build
+//
+// Csr(const Coo&) and normalizedAdjacency build through one counting
+// sort. The oracle is the comparison-sort pipeline they replaced: the
+// Coo cleaning passes, then rows laid out from the sorted edge list.
+// Both must agree bit for bit.
+
+Csr
+oracleCsr(const Coo &coo)
+{
+    Coo sorted = coo;
+    sorted.sortAndCombineDuplicates();
+    const VertexId n = sorted.numVertices();
+    std::vector<EdgeId> offsets(static_cast<size_t>(n) + 1, 0);
+    std::vector<VertexId> cols;
+    std::vector<Value> vals;
+    for (const Edge &e : sorted.edges()) {
+        ++offsets[e.src + 1];
+        cols.push_back(e.dst);
+        vals.push_back(e.weight);
+    }
+    for (VertexId v = 0; v < n; ++v)
+        offsets[v + 1] += offsets[v];
+    return Csr(n, std::move(offsets), std::move(cols), std::move(vals));
+}
+
+Csr
+oracleNormalized(const Coo &coo)
+{
+    Coo prepared = coo;
+    prepared.removeSelfLoops();
+    prepared.symmetrize();
+    prepared.addSelfLoops(1.0f);
+    const Csr structural = oracleCsr(prepared);
+    const VertexId n = structural.numVertices();
+    std::vector<double> inv_sqrt_deg(n);
+    for (VertexId u = 0; u < n; ++u) {
+        inv_sqrt_deg[u] =
+            1.0 / std::sqrt(static_cast<double>(structural.degree(u)));
+    }
+    std::vector<Value> vals(structural.numEdges());
+    const auto &offsets = structural.rowOffsets();
+    const auto &cols = structural.cols();
+    for (VertexId u = 0; u < n; ++u) {
+        for (EdgeId e = offsets[u]; e < offsets[u + 1]; ++e) {
+            vals[e] = static_cast<Value>(inv_sqrt_deg[u] *
+                                         inv_sqrt_deg[cols[e]]);
+        }
+    }
+    return Csr(n, offsets, cols, std::move(vals));
+}
+
+template <typename T>
+bool
+bytesEqual(const std::vector<T> &a, const std::vector<T> &b)
+{
+    return a.size() == b.size() &&
+           (a.empty() ||
+            std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+void
+expectBitEqual(const Csr &got, const Csr &want)
+{
+    ASSERT_EQ(got.numVertices(), want.numVertices());
+    ASSERT_EQ(got.numEdges(), want.numEdges());
+    EXPECT_TRUE(bytesEqual(got.rowOffsets(), want.rowOffsets()));
+    EXPECT_TRUE(bytesEqual(got.cols(), want.cols()));
+    EXPECT_TRUE(bytesEqual(got.vals(), want.vals()));
+    for (VertexId u = 0; u < got.numVertices(); ++u) {
+        const auto cols = got.rowCols(u);
+        for (size_t i = 1; i < cols.size(); ++i)
+            ASSERT_LT(cols[i - 1], cols[i]) << "row " << u;
+    }
+}
+
+void
+expectBothBuildsMatchOracle(const Coo &coo)
+{
+    {
+        SCOPED_TRACE("Csr(const Coo&)");
+        expectBitEqual(Csr(coo), oracleCsr(coo));
+    }
+    {
+        SCOPED_TRACE("normalizedAdjacency");
+        expectBitEqual(normalizedAdjacency(coo), oracleNormalized(coo));
+    }
+}
+
+TEST(GraphBuild, EmptyGraphs)
+{
+    expectBothBuildsMatchOracle(Coo(0));
+    expectBothBuildsMatchOracle(Coo(1));
+    const Csr single = normalizedAdjacency(Coo(1));
+    ASSERT_EQ(single.numEdges(), 1u);
+    EXPECT_EQ(single.vals()[0], 1.0f);
+}
+
+TEST(GraphBuild, SelfLoopsOnly)
+{
+    Coo coo(4);
+    coo.addEdge(0, 0, 2.0f);
+    coo.addEdge(2, 2);
+    coo.addEdge(2, 2, -0.5f);
+    expectBothBuildsMatchOracle(coo);
+    EXPECT_EQ(normalizedAdjacency(coo).numEdges(), 4u);
+}
+
+TEST(GraphBuild, DuplicatesAndBothDirections)
+{
+    Coo coo(5);
+    coo.addEdge(0, 1);
+    coo.addEdge(0, 1);
+    coo.addEdge(1, 0);
+    coo.addEdge(0, 1);
+    coo.addEdge(3, 2);
+    coo.addEdge(2, 3);
+    coo.addEdge(3, 2);
+    coo.addEdge(4, 0);
+    coo.addEdge(4, 4);
+    expectBothBuildsMatchOracle(coo);
+}
+
+TEST(GraphBuild, NonUnitAndNegativeWeights)
+{
+    // Every partial sum is exact in float, so the oracle's unspecified
+    // duplicate order cannot change its sums.
+    Coo coo(6);
+    coo.addEdge(0, 1, 2.5f);
+    coo.addEdge(0, 1, -1.0f);
+    coo.addEdge(1, 0, 0.25f);
+    coo.addEdge(0, 1, 0.25f);
+    coo.addEdge(2, 5, -3.0f);
+    coo.addEdge(5, 2, 4.0f);
+    coo.addEdge(2, 5, 3.0f);
+    coo.addEdge(3, 3, -7.0f);
+    coo.addEdge(4, 1, 0.0f);
+    expectBothBuildsMatchOracle(coo);
+    // Csr(Coo) keeps summed weights; the normalisation ignores them.
+    const Csr weighted(coo);
+    EXPECT_EQ(weighted.rowVals(0)[0], 1.75f);
+    EXPECT_EQ(weighted.rowVals(2)[0], 0.0f);
+}
+
+TEST(GraphBuild, DuplicatesSumInInputOrder)
+{
+    // 1e8f + 1 rounds back to 1e8f, so input order gives 0 where the
+    // reassociated sum would give 1.
+    Coo coo(2);
+    coo.addEdge(0, 1, 1e8f);
+    coo.addEdge(0, 1, 1.0f);
+    coo.addEdge(0, 1, -1e8f);
+    const Csr csr(coo);
+    ASSERT_EQ(csr.numEdges(), 1u);
+    EXPECT_EQ(csr.vals()[0], (1e8f + 1.0f) + -1e8f);
+}
+
+TEST(GraphBuild, IsolatedVertices)
+{
+    Coo coo(10);
+    coo.addEdge(1, 7);
+    coo.addEdge(7, 3);
+    coo.addEdge(9, 1);
+    expectBothBuildsMatchOracle(coo);
+}
+
+TEST(GraphBuild, StarHub)
+{
+    Coo coo(300);
+    for (VertexId v = 1; v < 300; ++v)
+        coo.addEdge(150, v);
+    for (VertexId v = 1; v < 300; v += 7)
+        coo.addEdge(v, 150);
+    coo.addEdge(150, 0);
+    coo.addEdge(150, 150);
+    expectBothBuildsMatchOracle(coo);
+}
+
+TEST(GraphBuild, RmatGrid)
+{
+    for (uint32_t scale = 6; scale <= 12; ++scale) {
+        const EdgeId samples = EdgeId{8} << scale;
+        SCOPED_TRACE("scale " + std::to_string(scale));
+        expectBothBuildsMatchOracle(
+            generateRmat(scale, samples, rmatSkewed(), scale));
+        expectBothBuildsMatchOracle(
+            generateRmat(scale, samples, rmatUniform(), scale + 100));
+    }
+    expectBothBuildsMatchOracle(
+        shuffleVertexIds(generateRmat(10, 8u << 10, rmatSkewed(), 3), 4));
+}
+
+TEST(GraphBuild, GoldenDigestRmat14)
+{
+    // Pinned from the comparison-sort pipeline: any change to the
+    // structure or the value arithmetic of A~ moves this digest.
+    const Csr a =
+        normalizedAdjacency(generateRmat(14, 1u << 17, rmatSkewed(), 1));
+    const auto &ro = a.rowOffsets();
+    const auto &cols = a.cols();
+    const auto &vals = a.vals();
+    uint64_t h = pgcn::fnv1a64(ro.data(), ro.size() * sizeof(ro[0]));
+    h = pgcn::fnv1a64(cols.data(), cols.size() * sizeof(cols[0]), h);
+    h = pgcn::fnv1a64(vals.data(), vals.size() * sizeof(vals[0]), h);
+    EXPECT_EQ(a.numEdges(), 244102u);
+    EXPECT_EQ(pgcn::hashHex(h), "482c5457e368c5b0");
 }
 
 TEST(Generators, RmatDeterministic)

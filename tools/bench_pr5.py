@@ -4,11 +4,13 @@
 Pairs the pre-existing baseline kernels against the vectorized
 replacements and records items/s plus the speedup ratio for each pair:
 
-  spmm:  BM_SpmmReference/14/128      vs  BM_SpmmNnzBalanced/14/128
+  spmm:  BM_SpmmReference/14/128      vs  BM_SpmmNnzBalanced/14/128/real_time
   gemm:  BM_DenseMmBlockedScalar/256  vs  BM_DenseMmBlocked/256
 
-Median aggregates are preferred when the run used repetitions; the
-plain iteration entry is used otherwise.
+The pooled SpMM is timed by wall clock (its run name carries the
+/real_time suffix), the single-thread reference by CPU time, which on
+one thread is the same clock. Median aggregates are preferred when the
+run used repetitions; the plain iteration entry is used otherwise.
 
 Usage: bench_pr5.py <benchmark_out.json> <BENCH_PR5.json>
 """
@@ -18,7 +20,7 @@ import sys
 
 PAIRS = {
     "spmm_scale14_k128": ("BM_SpmmReference/14/128",
-                          "BM_SpmmNnzBalanced/14/128"),
+                          "BM_SpmmNnzBalanced/14/128/real_time"),
     "gemm_256cubed": ("BM_DenseMmBlockedScalar/256",
                       "BM_DenseMmBlocked/256"),
 }
