@@ -27,6 +27,7 @@
 #define PGCN_BENCH_BENCH_UTIL_HPP
 
 #include <algorithm>
+#include <charconv>
 #include <cstdint>
 #include <exception>
 #include <fstream>
@@ -230,13 +231,47 @@ parseFaultSpec(const std::string &spec)
     return cfg;
 }
 
+/**
+ * Parse the unsigned decimal @p value of flag @p flag.
+ * @throws ConfigError unless the whole value is digits that fit.
+ */
+inline unsigned
+parseCount(const char *flag, const std::string &value)
+{
+    unsigned v = 0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc{} || ptr != end) {
+        PGCN_THROW(ConfigError,
+                   flag << ": '" << value << "' is not a count");
+    }
+    return v;
+}
+
+/**
+ * Parse the decimal number @p value of flag @p flag.
+ * @throws ConfigError unless the whole value is one number.
+ */
+inline double
+parseNumber(const char *flag, const std::string &value)
+{
+    double v = 0.0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc{} || ptr != end) {
+        PGCN_THROW(ConfigError,
+                   flag << ": '" << value << "' is not a number");
+    }
+    return v;
+}
+
 /** Parse a --domains value: a count, or "auto" (= 0 sentinel). */
 inline unsigned
 parseDomainCount(const std::string &value)
 {
     if (value == "auto")
         return 0;
-    return static_cast<unsigned>(std::stoul(value));
+    return parseCount("--domains", value);
 }
 
 /** Parse a --domain-mode value. @throws ConfigError on junk. */
@@ -270,9 +305,24 @@ domainModeName(sim::DomainMode mode)
 }
 
 /**
- * Parse positionals + telemetry flags. Unknown --flags are reported
- * and skipped so stale CI invocations fail loudly in the log, not
- * silently misroute output.
+ * The value after the space-separated flag at argv[@p i], advancing
+ * @p i past it. @throws ConfigError when the flag is the last word.
+ */
+inline std::string
+flagValue(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc)
+        PGCN_THROW(ConfigError, argv[i] << " needs a value");
+    return argv[++i];
+}
+
+/**
+ * Parse positionals + telemetry flags.
+ *
+ * @throws ConfigError on an unknown --flag, a --jobs / --domains /
+ *         --domain-mode with no value after it, a malformed number,
+ *         or a third positional — a misspelt invocation must fail,
+ *         not run the default configuration.
  */
 inline BenchArgs
 parseBenchArgs(int argc, char **argv)
@@ -292,7 +342,7 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg.rfind("--metrics=", 0) == 0) {
             args.metricsPath = arg.substr(10);
         } else if (arg.rfind("--sample-ns=", 0) == 0) {
-            args.samplePeriodNs = std::stod(arg.substr(12));
+            args.samplePeriodNs = parseNumber("--sample-ns", arg.substr(12));
         } else if (arg == "--trace-detail") {
             args.traceDetail = true;
         } else if (arg.rfind("--checkpoint=", 0) == 0) {
@@ -302,17 +352,17 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg.rfind("--sweep-json=", 0) == 0) {
             args.sweepJsonPath = arg.substr(13);
         } else if (arg.rfind("--jobs=", 0) == 0) {
-            args.jobs = static_cast<unsigned>(std::stoul(arg.substr(7)));
-        } else if (arg == "--jobs" && i + 1 < argc) {
-            args.jobs = static_cast<unsigned>(std::stoul(argv[++i]));
+            args.jobs = parseCount("--jobs", arg.substr(7));
+        } else if (arg == "--jobs") {
+            args.jobs = parseCount("--jobs", flagValue(argc, argv, i));
         } else if (arg.rfind("--domains=", 0) == 0) {
             args.domains = parseDomainCount(arg.substr(10));
-        } else if (arg == "--domains" && i + 1 < argc) {
-            args.domains = parseDomainCount(argv[++i]);
+        } else if (arg == "--domains") {
+            args.domains = parseDomainCount(flagValue(argc, argv, i));
         } else if (arg.rfind("--domain-mode=", 0) == 0) {
             args.domainMode = parseDomainMode(arg.substr(14));
-        } else if (arg == "--domain-mode" && i + 1 < argc) {
-            args.domainMode = parseDomainMode(argv[++i]);
+        } else if (arg == "--domain-mode") {
+            args.domainMode = parseDomainMode(flagValue(argc, argv, i));
         } else if (arg == "--model-only") {
             args.modelOnly = true;
         } else if (arg.rfind("--history=", 0) == 0) {
@@ -324,10 +374,9 @@ parseBenchArgs(int argc, char **argv)
         } else if (arg.rfind("--faults=", 0) == 0) {
             args.faults = parseFaultSpec(arg.substr(9));
         } else if (arg.rfind("--retries=", 0) == 0) {
-            args.pointAttempts =
-                static_cast<unsigned>(std::stoul(arg.substr(10)));
+            args.pointAttempts = parseCount("--retries", arg.substr(10));
         } else if (arg.rfind("--", 0) == 0) {
-            std::cerr << "unknown flag ignored: " << arg << "\n";
+            PGCN_THROW(ConfigError, "unknown flag '" << arg << "'");
         } else if (positional == 0) {
             args.csvPath = arg;
             ++positional;
@@ -335,7 +384,9 @@ parseBenchArgs(int argc, char **argv)
             args.jsonPath = arg;
             ++positional;
         } else {
-            std::cerr << "extra positional ignored: " << arg << "\n";
+            PGCN_THROW(ConfigError, "extra positional argument '"
+                                        << arg
+                                        << "' (expected [csv] [json])");
         }
     }
     return args;

@@ -45,10 +45,8 @@ struct ModelCounters
     }
 };
 
-} // namespace
-
 int
-main(int argc, char **argv)
+benchMain(int argc, char **argv)
 {
     const bench::BenchArgs args = bench::parseBenchArgs(argc, argv);
     core::PiumaPlatform piuma_node;
@@ -88,4 +86,12 @@ main(int argc, char **argv)
                      registry.counterValue("piuma.model.glue_calls")
               << " model evaluations)\n";
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return bench::runBenchMain([&] { return benchMain(argc, argv); });
 }

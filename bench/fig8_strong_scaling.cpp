@@ -64,7 +64,7 @@ benchMain(int argc, char **argv)
     for (int i = 0; i < argc; ++i) {
         const std::string a = argv[i] != nullptr ? argv[i] : "";
         if (a.rfind("--mega=", 0) == 0) {
-            mega_cores = static_cast<unsigned>(std::stoul(a.substr(7)));
+            mega_cores = bench::parseCount("--mega", a.substr(7));
             continue;
         }
         filtered.push_back(argv[i]);

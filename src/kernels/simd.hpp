@@ -82,10 +82,6 @@ struct Ops
     /** p[0..n) = max(p[0..n), 0). */
     void (*relu)(float *p, uint64_t n);
 
-    /** m[r * cols + c] += bias[c] for all rows x cols. */
-    void (*addBias)(float *m, const float *bias, uint64_t rows,
-                    uint64_t cols);
-
     /**
      * Pack B (kk x n, leading dimension ldb) into NR-column panels
      * laid out p-major, zero-padded to the tier's panel width, ready

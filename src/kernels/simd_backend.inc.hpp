@@ -8,8 +8,7 @@
  * instantiates Backend<Policy> here, compiled with that TU's -m
  * flags. The kernels themselves are written once:
  *
- *  - axpy / relu / addBias: straight-line vector loops with scalar
- *    tails.
+ *  - axpy / relu: straight-line vector loops with scalar tails.
  *  - spmmRowRange / spmmGatherRows: the feature dimension is walked
  *    in blocks of four vector registers that stay resident across
  *    all non-zeros of a row (multi-accumulator inner loop), so each
@@ -170,20 +169,6 @@ template <class P> struct Backend
     }
 
     static void
-    addBias(float *m, const float *bias, uint64_t rows, uint64_t cols)
-    {
-        for (uint64_t r = 0; r < rows; ++r) {
-            float *row = m + r * cols;
-            uint64_t c = 0;
-            for (; c + W <= cols; c += W)
-                P::store(row + c,
-                         P::add(P::load(row + c), P::load(bias + c)));
-            for (; c < cols; ++c)
-                row[c] += bias[c];
-        }
-    }
-
-    static void
     gemmPackB(const float *b, uint64_t ldb, uint64_t n, uint64_t kk,
               float *pack_buf)
     {
@@ -317,7 +302,6 @@ makeOps(Tier tier)
     t.spmmRowRange = &Backend<P>::spmmRowRange;
     t.spmmGatherRows = &Backend<P>::spmmGatherRows;
     t.relu = &Backend<P>::relu;
-    t.addBias = &Backend<P>::addBias;
     t.gemmPackB = &Backend<P>::gemmPackB;
     t.gemmPrepacked = &Backend<P>::gemmPrepacked;
     return t;

@@ -294,8 +294,8 @@ class MemorySystem
     /**
      * Awaitable completing when every chunk of @p pa has responded
      * and its merged responseAt has been reached — the stall-on-use
-     * wait. Replicates Engine::delayUntil timing bit-for-bit when the
-     * access is already complete but its response time lies ahead.
+     * wait. When the access is already complete but its response
+     * time lies ahead, it waits exactly as Engine::delayUntil does.
      */
     auto
     await(PendingAccess &pa)
@@ -320,8 +320,8 @@ class MemorySystem
                     mem.park(pa, h);
                     return;
                 }
-                mem.domains_.wakeAt(mem.domainOf(pa.core),
-                                    pa.acc.responseAt, h);
+                sim::Engine &e = mem.engineOf(pa.core);
+                e.schedule(pa.acc.responseAt - e.now(), h);
             }
             MemoryAccess await_resume() const noexcept { return pa.acc; }
         };

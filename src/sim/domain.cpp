@@ -78,59 +78,7 @@ DomainSet::DomainSet(const Options &opts)
     }
     if (mode_ == Mode::Parallel)
         boxes_.resize(static_cast<size_t>(d) * d);
-    postSeq_.assign(d, 0);
     crossPosts_.assign(d, 0);
-}
-
-void
-DomainSet::postWake(unsigned src, unsigned dst, SimTime when,
-                    std::coroutine_handle<> h)
-{
-    Engine &e = engine(dst);
-    // Replicate Engine::delayUntil arithmetic bit-for-bit: the serial
-    // path computes the event time as now + (when - now), which can
-    // differ from `when` by an ulp. Diverging here would silently
-    // shift one event and break the `--domains N` identity.
-    const SimTime d = when - e.now();
-    PGCN_ASSERT(d > 0.0, "postWake for a response already due");
-    e.injectAbsolute(e.now() + d,
-                     reinterpret_cast<uintptr_t>(h.address()),
-                     e.ctx_->curDepth + 1);
-    if (src != dst) {
-        // The awaiting coroutine always runs on dst's thread, so dst
-        // is the executing domain — index the tally by it to keep the
-        // counters single-writer in Parallel mode.
-        ++crossPosts_[dst];
-    }
-}
-
-void
-DomainSet::post(unsigned src_domain, unsigned dst_domain, SimTime when,
-                std::function<void()> fn)
-{
-    if (mode_ == Mode::Sequenced || src_domain == dst_domain) {
-        Engine &e = engine(dst_domain);
-        PGCN_ASSERT(when >= e.now(), "post into the past");
-        e.injectAbsolute(when, e.internCallback(std::move(fn)),
-                         e.ctx_->curDepth + 1);
-        if (src_domain != dst_domain)
-            ++crossPosts_[src_domain];
-        return;
-    }
-    // Parallel cross-domain: must be issued from src's worker thread
-    // during its dispatch window, and must respect the lookahead the
-    // safe-window proof depends on (tiny epsilon absorbs float
-    // rounding in callers that compute `now + lookahead` themselves).
-    Engine &src = engine(src_domain);
-    PGCN_ASSERT(when + 1e-9 >= src.now() + lookaheadNs_,
-                "cross-domain post at t=" << when
-                    << " violates lookahead " << lookaheadNs_
-                    << " (src clock t=" << src.now() << ")");
-    const unsigned d = domains();
-    boxes_[static_cast<size_t>(src_domain) * d + dst_domain].push(
-        Msg{when, src_domain, postSeq_[src_domain]++,
-            src.ctx_->curDepth + 1, 0, std::move(fn)});
-    ++crossPosts_[src_domain];
 }
 
 void
@@ -155,8 +103,7 @@ DomainSet::postKeyed(unsigned src_domain, unsigned dst_domain,
                     << " (src clock t=" << src.now() << ")");
     const unsigned d = domains();
     boxes_[static_cast<size_t>(src_domain) * d + dst_domain].push(
-        Msg{when, src_domain, postSeq_[src_domain]++,
-            src.ctx_->curDepth + 1, keyed_seq, std::move(fn)});
+        Msg{when, src.ctx_->curDepth + 1, keyed_seq, std::move(fn)});
     ++crossPosts_[src_domain];
 }
 
@@ -167,33 +114,13 @@ DomainSet::drainInbox(unsigned dst, std::vector<Msg> &scratch)
     const unsigned d = domains();
     for (unsigned src = 0; src < d; ++src)
         boxes_[static_cast<size_t>(src) * d + dst].drainTo(scratch);
-    if (scratch.empty())
-        return;
-    // The deterministic merge rule: timestamp, then source domain,
-    // then source sequence. Nothing about arrival order (which is
-    // scheduling-dependent) survives into the injection order.
-    std::sort(scratch.begin(), scratch.end(),
-              [](const Msg &a, const Msg &b) {
-                  if (a.when != b.when)
-                      return a.when < b.when;
-                  if (a.srcDomain != b.srcDomain)
-                      return a.srcDomain < b.srcDomain;
-                  return a.srcSeq < b.srcSeq;
-              });
+    // Every message carries a unique key and files into the far
+    // wheel, which dispatches by exact (when, key): the drain order
+    // here (source domain, then post order) never reaches dispatch.
     Engine &e = engine(dst);
-    for (Msg &m : scratch) {
-        // A keyed message carries its own (band, entity, stamp) sort
-        // key; an unkeyed one takes a fresh engine sequence number, so
-        // its injection order here (the sort above) is its dispatch
-        // tiebreak.
-        if (m.keyedSeq != 0) {
-            e.injectKeyed(m.when, e.internCallback(std::move(m.fn)),
-                          m.keyedSeq, m.depth);
-        } else {
-            e.injectAbsolute(m.when, e.internCallback(std::move(m.fn)),
-                             m.depth);
-        }
-    }
+    for (Msg &m : scratch)
+        e.injectKeyed(m.when, e.internCallback(std::move(m.fn)), m.keyedSeq,
+                      m.depth);
 }
 
 void

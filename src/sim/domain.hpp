@@ -28,10 +28,13 @@
  *    domain may safely dispatch all events strictly before
  *    H = m + L: any message sent during the window is sent at time
  *    >= m and arrives at >= m + L = H, so nothing dispatched inside
- *    the window can be invalidated. Cross-domain events travel
+ *    the window can be invalidated. Cross-domain messages travel
  *    through bounded SPSC mailboxes (one per ordered domain pair)
- *    and are merged at each window boundary in deterministic
- *    (timestamp, source domain, source sequence) order. An idle
+ *    and are filed into the destination's calendar at each window
+ *    boundary. Each carries a unique keyed sequence number (below),
+ *    and the calendar dispatches by exact (timestamp, key), so the
+ *    order in which a window's mailboxes are drained — which thread
+ *    posted first — never reaches the dispatch order. An idle
  *    domain publishes +inf as its next-event time and keeps
  *    participating in the barriers — the null-message/idle-advance
  *    path — so a neighbor going quiet can never deadlock the set.
@@ -42,7 +45,8 @@
  * latency — the DGAS network hop on requests and responses, the
  * timeout margin on failure notices — so the model's lookahead bound
  * (MemorySystem::modelLookaheadNs) is positive and Parallel mode is
- * legal. Bit-identity across modes *and* domain counts rests on
+ * legal. DomainSet::postKeyed is the only way a message crosses
+ * domains. Bit-identity across modes *and* domain counts rests on
  * *keyed sequence numbers*: requests and responses carry canonical
  * (band, entity, stamp) sort keys assigned from per-entity counters
  * (kSeqBandRequest / kSeqBandResponse below), so the dispatch order
@@ -56,7 +60,6 @@
 #ifndef PGCN_SIM_DOMAIN_HPP
 #define PGCN_SIM_DOMAIN_HPP
 
-#include <coroutine>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -183,75 +186,20 @@ class DomainSet
     SimTime run();
 
     /**
-     * Awaitable: suspend the calling agent (which runs in domain
-     * @p dst_domain) until absolute time @p when, where the wake is
-     * caused by domain @p src_domain (e.g. a memory response computed
-     * by a remote slice). Timing, sequence-number consumption and the
-     * past-deadline fast path replicate Engine::delayUntil exactly,
-     * so a sequenced run is bit-identical whether an await is routed
-     * through the set or the plain engine. Cross-domain wakes are
-     * counted per domain (see crossDomainPosts()).
-     */
-    auto
-    awaitResponse(unsigned src_domain, unsigned dst_domain, SimTime when)
-    {
-        struct Awaiter
-        {
-            DomainSet &set;
-            unsigned src;
-            unsigned dst;
-            SimTime when;
-
-            bool
-            await_ready() const noexcept
-            {
-                // Same fast path as delayUntil: a response already
-                // due costs no event and no sequence number.
-                return when - set.engine(dst).now() <= 0.0;
-            }
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                set.postWake(src, dst, when, h);
-            }
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this, src_domain, dst_domain, when};
-    }
-
-    /**
-     * Deliver @p fn to domain @p dst_domain at absolute time @p when,
-     * sent by domain @p src_domain. In Sequenced mode (and for
-     * same-domain posts) this files the event directly; in Parallel
-     * mode a cross-domain post enqueues into the (src, dst) mailbox —
-     * it must be called from src's worker thread, and @p when must
-     * respect the lookahead: when >= src clock + lookaheadNs.
-     */
-    void post(unsigned src_domain, unsigned dst_domain, SimTime when,
-              std::function<void()> fn);
-
-    /**
      * Deliver @p fn to domain @p dst_domain at absolute time @p when
      * carrying the canonical sequence key @p keyed_seq (see the band
-     * constants above). Unlike post(), whose events are stamped with
-     * fresh engine sequence numbers at injection, a keyed message's
-     * equal-timestamp dispatch order is decided by the carried key —
-     * identical in Sequenced and Parallel mode by construction. Same
-     * thread/lookahead rules as post().
+     * constants above) — the one way a message crosses domains. Its
+     * equal-timestamp dispatch order is decided by the carried key,
+     * identical in Sequenced and Parallel mode by construction; keys
+     * must be unique among pending messages. In Sequenced mode (and
+     * for same-domain posts) this files the event directly; in
+     * Parallel mode a cross-domain post enqueues into the (src, dst)
+     * mailbox — it must be called from src's worker thread, and
+     * @p when must respect the lookahead: when >= src clock +
+     * lookaheadNs.
      */
     void postKeyed(unsigned src_domain, unsigned dst_domain, SimTime when,
                    uint64_t keyed_seq, std::function<void()> fn);
-
-    /**
-     * File a delayUntil-replica wake for @p h in domain @p dom at
-     * absolute time @p when (must be strictly after dom's clock).
-     * A self-post: usable from dom's own thread in any mode.
-     */
-    void
-    wakeAt(unsigned dom, SimTime when, std::coroutine_handle<> h)
-    {
-        postWake(dom, dom, when, h);
-    }
 
     /**
      * Arm watchdog budgets. Sequenced mode arms the shared block
@@ -291,7 +239,7 @@ class DomainSet
     size_t peakQueueDepth() const;
 
     /**
-     * Cross-domain wakes and posts delivered so far. Deliberately
+     * Cross-domain keyed posts delivered so far. Deliberately
      * kept out of SpmmRunStats and telemetry counters: it depends on
      * the domain count, and everything in those channels must be
      * bit-identical across `--domains N`.
@@ -303,10 +251,8 @@ class DomainSet
     struct Msg
     {
         SimTime when;
-        unsigned srcDomain;
-        uint64_t srcSeq; ///< per-source post counter: the merge tiebreak
         uint32_t depth;
-        uint64_t keyedSeq; ///< carried sequence key; 0 = unkeyed post
+        uint64_t keyedSeq; ///< carried sequence key: the dispatch tiebreak
         std::function<void()> fn;
     };
 
@@ -353,14 +299,10 @@ class DomainSet
         std::vector<Msg> spill_;
     };
 
-    /** File a coroutine wake in dst, replicating delayUntil timing. */
-    void postWake(unsigned src, unsigned dst, SimTime when,
-                  std::coroutine_handle<> h);
-
     SimTime runSequenced();
     SimTime runParallel();
 
-    /** Drain every mailbox addressed to @p dst, in merge order. */
+    /** Drain every mailbox addressed to @p dst into its engine. */
     void drainInbox(unsigned dst, std::vector<Msg> &scratch);
 
     /** Drain and discard @p dst's mailboxes (failed-domain path). */
@@ -374,8 +316,7 @@ class DomainSet
     Engine::SharedState shared_{}; ///< the one clock block (Sequenced)
     std::vector<std::unique_ptr<Engine>> engines_;
     std::vector<Mailbox> boxes_;       ///< [src * D + dst], Parallel mode
-    std::vector<uint64_t> postSeq_;    ///< per-src mailbox sequence
-    std::vector<uint64_t> crossPosts_; ///< per-executing-domain tally
+    std::vector<uint64_t> crossPosts_; ///< per-source-domain tally
 };
 
 } // namespace pgcn::sim

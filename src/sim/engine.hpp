@@ -697,31 +697,6 @@ class Engine
     }
 
     /**
-     * File an event at *absolute* time @p when with an explicit depth
-     * — the cross-domain injection path (DomainSet). The event takes
-     * the next sequence number from the bound state block, exactly as
-     * a local push would; under a shared block this is what keeps a
-     * sequenced merge bit-identical to the serial engine.
-     */
-    void
-    injectAbsolute(SimTime when, Payload p, uint32_t depth)
-    {
-        PGCN_ASSERT(when >= ctx_->now,
-                    "cross-domain event at t=" << when
-                        << " is behind the clock t=" << ctx_->now);
-        const uint64_t seq = ctx_->nextSeq++;
-        if (when == ctx_->now) {
-            if (nowQ_.size() == nowQ_.capacity())
-                ++arenaGrowths_;
-            nowQ_.push_back(Event{when, seq, p, depth});
-        } else {
-            farPush(Key{when, seq}, p, depth);
-        }
-        ++ctx_->pending;
-        ctx_->peakQueueDepth = std::max(ctx_->peakQueueDepth, ctx_->pending);
-    }
-
-    /**
      * File an event at absolute time @p when carrying a
      * *caller-chosen* sequence number — the keyed-message path
      * (DomainSet::postKeyed). Banded keys (sim/domain.hpp) make the

@@ -125,12 +125,4 @@ reluInPlace(DenseMatrix &m)
     kernels::simd::ops().relu(m.data(), m.size());
 }
 
-void
-addBiasInPlace(DenseMatrix &m, std::span<const float> bias)
-{
-    PGCN_ASSERT(bias.size() == m.cols(),
-                "bias length " << bias.size() << " != cols " << m.cols());
-    kernels::simd::ops().addBias(m.data(), bias.data(), m.rows(), m.cols());
-}
-
 } // namespace pgcn::tensor

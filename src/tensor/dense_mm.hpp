@@ -70,15 +70,6 @@ void denseMmBlockedScalar(const DenseMatrix &a, const DenseMatrix &b,
 /** In-place ReLU: x = max(x, 0). Vectorized via the SIMD layer. */
 void reluInPlace(DenseMatrix &m);
 
-/**
- * In-place row-wise bias add: m[r, :] += bias. Vectorized via the
- * SIMD layer.
- *
- * @param m Matrix to update.
- * @param bias Bias vector of length m.cols().
- */
-void addBiasInPlace(DenseMatrix &m, std::span<const float> bias);
-
 } // namespace pgcn::tensor
 
 #endif // PGCN_TENSOR_DENSE_MM_HPP

@@ -36,40 +36,4 @@ argmaxRows(const DenseMatrix &m)
     return out;
 }
 
-std::vector<float>
-rowL2Norms(const DenseMatrix &m)
-{
-    std::vector<float> out(m.rows());
-    for (uint64_t r = 0; r < m.rows(); ++r) {
-        double sum = 0.0;
-        for (float x : m.row(r))
-            sum += static_cast<double>(x) * x;
-        out[r] = static_cast<float>(std::sqrt(sum));
-    }
-    return out;
-}
-
-void
-scaleRowsInPlace(DenseMatrix &m, std::span<const float> factors)
-{
-    PGCN_ASSERT(factors.size() == m.rows(),
-                "factor count " << factors.size() << " != rows "
-                                << m.rows());
-    for (uint64_t r = 0; r < m.rows(); ++r) {
-        for (float &x : m.row(r))
-            x *= factors[r];
-    }
-}
-
-float
-mean(const DenseMatrix &m)
-{
-    if (m.size() == 0)
-        return 0.0f;
-    double sum = 0.0;
-    for (uint64_t i = 0; i < m.size(); ++i)
-        sum += m.data()[i];
-    return static_cast<float>(sum / static_cast<double>(m.size()));
-}
-
 } // namespace pgcn::tensor

@@ -1,9 +1,8 @@
 /**
  * @file
  * Row-wise tensor operations used around GCN inference: numerically
- * stable softmax, argmax (label prediction), L2 norms and row
- * scaling. These are the "glue" operations of the paper's breakdown
- * beyond the activation itself.
+ * stable softmax and argmax (label prediction). These are the "glue"
+ * operations of the paper's breakdown beyond the activation itself.
  */
 #ifndef PGCN_TENSOR_OPS_HPP
 #define PGCN_TENSOR_OPS_HPP
@@ -27,20 +26,6 @@ void softmaxRowsInPlace(DenseMatrix &m);
  * lower index) — the predicted class of each vertex.
  */
 std::vector<uint64_t> argmaxRows(const DenseMatrix &m);
-
-/** Euclidean norm of each row. */
-std::vector<float> rowL2Norms(const DenseMatrix &m);
-
-/**
- * Scale each row by the corresponding factor.
- *
- * @param m Matrix to scale.
- * @param factors One factor per row.
- */
-void scaleRowsInPlace(DenseMatrix &m, std::span<const float> factors);
-
-/** Mean of all elements. */
-float mean(const DenseMatrix &m);
 
 } // namespace pgcn::tensor
 

@@ -18,24 +18,27 @@
  *     (null-message idle-advance), and SimDeadlockError still names
  *     blocked agents across domains.
  *
- *  3. The (timestamp, source domain, source sequence) mailbox-merge
- *     tiebreak for zero-delay/equal-timestamp cross-domain events.
+ *  3. The keyed tiebreak for equal-timestamp messages: keyed posts
+ *     (DomainSet::postKeyed, the one cross-domain message path)
+ *     dispatch in key order whatever their source domain or post
+ *     order, and an ordinary band-0 event dispatches before a keyed
+ *     message at the same timestamp, in both modes.
  *
  *  4. The clock plumbing itself: Engine::runUntil horizon strictness
- *     and the DomainSet::awaitResponse fast path, which must consume
- *     no event and no sequence number (bit-for-bit the same as
- *     Engine::delayUntil).
+ *     and the cross-domain post tally, which counts keyed posts
+ *     between distinct domains and nothing else.
  *
- * Note on lookahead and the model: the PIUMA programs always run in
- * Sequenced mode, whose merge order is independent of lookahead by
- * construction (see sim/domain.hpp), so the adversarial lookahead
- * sweep lives in the Parallel-mode property tests where lookahead is
- * load-bearing. lookaheadNs = 1.0 *is* the 1 ns adversarial case.
+ * Note on lookahead and the model: the PIUMA model's lookahead is
+ * fixed by its latencies (the DomainPlan tests pin the bound), so the
+ * adversarial lookahead sweep lives in the Parallel-mode property
+ * tests, where any lookahead can be set. lookaheadNs = 1.0 *is* the
+ * 1 ns adversarial case.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <coroutine>
 #include <cstdint>
 #include <fstream>
 #include <thread>
@@ -619,7 +622,8 @@ TEST(DomainPlan, ExplicitParallelThrowsWhenModelMakesItIllegal)
 /**
  * A precomputed random message plan: one chain per domain, each hop
  * recording its execution time on the current domain and posting the
- * next hop cross-domain (or to itself) at now + delay, where every
+ * next hop cross-domain (or to itself) at now + delay, keyed by
+ * (chain, hop) so every message carries a unique key, where every
  * delay is a small multiple of the lookahead — so hops posted at
  * exactly the lookahead boundary are common, delays are exact
  * doubles, and the expected arrival times can be recomputed serially
@@ -688,9 +692,10 @@ runPlan(const MessagePlan &plan)
         times[cur].push_back(set.engine(cur).now());
         if (hop + 1 < plan.dom[c].size()) {
             const unsigned nxt = plan.dom[c][hop + 1];
-            set.post(cur, nxt,
-                     set.engine(cur).now() + plan.delay[c][hop],
-                     [&fire, c, hop] { fire(c, hop + 1); });
+            set.postKeyed(cur, nxt,
+                          set.engine(cur).now() + plan.delay[c][hop],
+                          makeKeyedSeq(kSeqBandRequest, c, hop),
+                          [&fire, c, hop] { fire(c, hop + 1); });
         }
     };
     for (unsigned c = 0; c < opts.domains; ++c) {
@@ -765,9 +770,10 @@ TEST(DomainParallel, LookaheadBoundaryPingPong)
     fire = [&set, &times, &fire](unsigned cur, unsigned hop) {
         times[cur].push_back(set.engine(cur).now());
         if (hop < 100) {
-            set.post(cur, 1 - cur,
-                     set.engine(cur).now() + kLookahead,
-                     [&fire, cur, hop] { fire(1 - cur, hop + 1); });
+            set.postKeyed(cur, 1 - cur,
+                          set.engine(cur).now() + kLookahead,
+                          makeKeyedSeq(kSeqBandRequest, 0, hop),
+                          [&fire, cur, hop] { fire(1 - cur, hop + 1); });
         }
     };
     set.engine(0).schedule(kLookahead, [&fire] { fire(0u, 0u); });
@@ -793,25 +799,33 @@ TEST(DomainParallel, IdleNeighborDoesNotDeadlock)
     opts.lookaheadNs = 1.0;
     DomainSet set(opts);
 
-    // Domain 1 finishes at t=3; domain 2 never has any work at all.
+    // Domain 0 runs a 50-hop chain of keyed self-posts. Domain 1 posts
+    // one keyed message into that chain at t=3 and goes idle; domain 2
+    // never has any work at all.
     unsigned busy_fired = 0;
     std::function<void(unsigned)> chain;
     chain = [&set, &busy_fired, &chain](unsigned remaining) {
         ++busy_fired;
         if (remaining > 0) {
-            set.engine(0).schedule(7.0, [&chain, remaining] {
-                chain(remaining - 1);
-            });
+            set.postKeyed(0, 0, set.engine(0).now() + 7.0,
+                          makeKeyedSeq(kSeqBandRequest, 0, remaining),
+                          [&chain, remaining] { chain(remaining - 1); });
         }
     };
     set.engine(0).schedule(7.0, [&chain] { chain(49u); });
-    bool short_fired = false;
-    set.engine(1).schedule(3.0, [&short_fired] { short_fired = true; });
+    SimTime short_arrived = -1.0; // written only by domain 0's thread
+    set.engine(1).schedule(3.0, [&set, &short_arrived] {
+        set.postKeyed(1, 0, 4.0, makeKeyedSeq(kSeqBandRequest, 1, 0),
+                      [&set, &short_arrived] {
+                          short_arrived = set.engine(0).now();
+                      });
+    });
 
     const SimTime end = set.run();
     EXPECT_EQ(busy_fired, 50u);
-    EXPECT_TRUE(short_fired);
+    EXPECT_EQ(short_arrived, 4.0);
     EXPECT_DOUBLE_EQ(end, 350.0);
+    EXPECT_EQ(set.crossDomainPosts(), 1u);
 }
 
 Process
@@ -865,6 +879,8 @@ TEST(DomainSequenced, DeadlockNamesAgentsAcrossDomains)
 
 // An exception thrown by one domain's event must propagate out of
 // run() (not hang the barrier protocol, not crash a worker thread).
+// Here the throwing event is a keyed message domain 0 posted into
+// domain 1, while domain 0 keeps posting to a domain that has failed.
 TEST(DomainParallel, WorkerExceptionPropagates)
 {
     DomainSet::Options opts;
@@ -876,25 +892,31 @@ TEST(DomainParallel, WorkerExceptionPropagates)
     std::function<void(unsigned)> chain;
     chain = [&set, &chain](unsigned remaining) {
         if (remaining > 0) {
+            set.postKeyed(0, 1, set.engine(0).now() + 2.0,
+                          makeKeyedSeq(kSeqBandRequest, 0, remaining),
+                          [] {});
             set.engine(0).schedule(2.0, [&chain, remaining] {
                 chain(remaining - 1);
             });
         }
     };
     set.engine(0).schedule(2.0, [&chain] { chain(200u); });
-    set.engine(1).schedule(5.0,
-                           [] { throw std::runtime_error("boom"); });
+    set.engine(0).schedule(4.0, [&set] {
+        set.postKeyed(0, 1, 5.0, makeKeyedSeq(kSeqBandResponse, 0, 0),
+                      [] { throw std::runtime_error("boom"); });
+    });
     EXPECT_THROW(set.run(), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
-// 4. The (timestamp, domain, sequence) merge tiebreak
+// 4. The keyed tiebreak at equal timestamps
 
-// Two cross-domain events with equal timestamps from different source
-// domains: the merge must order by source-domain index, regardless of
-// which worker thread filled its mailbox first. Repeated to let the
-// scheduler jitter the wall-clock arrival order.
-TEST(DomainTiebreak, EqualTimestampsOrderBySourceDomain)
+// Two keyed messages with equal timestamps from different source
+// domains dispatch in key order — here the higher-index source holds
+// the lower key, so neither source index nor which worker thread
+// filled its mailbox first can produce the expected order. Repeated
+// to let the scheduler jitter the wall-clock arrival order.
+TEST(DomainTiebreak, EqualTimestampsFromTwoSourcesOrderByKey)
 {
     for (unsigned iter = 0; iter < 50; ++iter) {
         DomainSet::Options opts;
@@ -905,57 +927,68 @@ TEST(DomainTiebreak, EqualTimestampsOrderBySourceDomain)
 
         std::vector<unsigned> order; // written only by domain 0's thread
         // Both posts target domain 0 at the identical timestamp 1.0.
-        // Domain 2 gets a head start in wall-clock terms (its event is
-        // scheduled first) — the merge must still run domain 1's
-        // message first.
-        set.engine(2).schedule(0.0, [&set, &order] {
-            set.post(2, 0, 1.0, [&order] { order.push_back(2); });
-        });
         set.engine(1).schedule(0.0, [&set, &order] {
-            set.post(1, 0, 1.0, [&order] { order.push_back(1); });
+            set.postKeyed(1, 0, 1.0, makeKeyedSeq(kSeqBandRequest, 0, 1),
+                          [&order] { order.push_back(1); });
+        });
+        set.engine(2).schedule(0.0, [&set, &order] {
+            set.postKeyed(2, 0, 1.0, makeKeyedSeq(kSeqBandRequest, 0, 0),
+                          [&order] { order.push_back(2); });
         });
         set.run();
-        ASSERT_EQ(order.size(), 2u);
-        EXPECT_EQ(order[0], 1u);
-        EXPECT_EQ(order[1], 2u);
+        EXPECT_EQ(order, (std::vector<unsigned>{2, 1}));
     }
 }
 
-// Equal timestamp, same source domain: source-sequence FIFO.
-TEST(DomainTiebreak, EqualTimestampsSameSourceAreFifo)
+// Equal timestamp, same source domain, posted in descending key
+// order: dispatch follows the keys, not the post order.
+TEST(DomainTiebreak, SameSourceDescendingKeysDispatchAscending)
 {
-    DomainSet::Options opts;
-    opts.domains = 2;
-    opts.mode = DomainSet::Mode::Parallel;
-    opts.lookaheadNs = 1.0;
-    DomainSet set(opts);
+    for (const DomainSet::Mode mode :
+         {DomainSet::Mode::Sequenced, DomainSet::Mode::Parallel}) {
+        DomainSet::Options opts;
+        opts.domains = 2;
+        opts.mode = mode;
+        opts.lookaheadNs = 1.0;
+        DomainSet set(opts);
 
-    std::vector<int> order;
-    set.engine(1).schedule(0.0, [&set, &order] {
-        set.post(1, 0, 2.0, [&order] { order.push_back(10); });
-        set.post(1, 0, 2.0, [&order] { order.push_back(11); });
-    });
-    set.run();
-    EXPECT_EQ(order, (std::vector<int>{10, 11}));
+        std::vector<int> order;
+        set.engine(1).schedule(0.0, [&set, &order] {
+            set.postKeyed(1, 0, 2.0, makeKeyedSeq(kSeqBandRequest, 1, 11),
+                          [&order] { order.push_back(11); });
+            set.postKeyed(1, 0, 2.0, makeKeyedSeq(kSeqBandRequest, 1, 10),
+                          [&order] { order.push_back(10); });
+        });
+        set.run();
+        EXPECT_EQ(order, (std::vector<int>{10, 11}));
+    }
 }
 
-// Sequenced mode's tiebreak is the global schedule-time sequence
-// number: two zero-delay cross-domain posts at the same timestamp
-// dispatch in post order even though they land in different shards'
-// arenas.
-TEST(DomainTiebreak, SequencedZeroDelayPostsFollowGlobalOrder)
+// An ordinary (band-0) event dispatches before a keyed message at the
+// same timestamp, in both modes — even when the keyed message was
+// filed first and carries the smallest key of its band.
+TEST(DomainTiebreak, OrdinaryEventDispatchesBeforeKeyedAtSameTime)
 {
-    DomainSet set(2u);
-    std::vector<char> order;
-    set.engine(0).schedule(5.0, [&set, &order] {
-        // Zero-delay post into the *other* shard's arena...
-        set.post(0, 1, 5.0, [&order] { order.push_back('A'); });
-        // ...then a zero-delay post into our own arena. A must still
-        // dispatch first: global (when, seq) ignores arena placement.
-        set.post(0, 0, 5.0, [&order] { order.push_back('B'); });
-    });
-    set.run();
-    EXPECT_EQ(order, (std::vector<char>{'A', 'B'}));
+    for (const DomainSet::Mode mode :
+         {DomainSet::Mode::Sequenced, DomainSet::Mode::Parallel}) {
+        DomainSet::Options opts;
+        opts.domains = 2;
+        opts.mode = mode;
+        opts.lookaheadNs = 1.0;
+        DomainSet set(opts);
+
+        std::vector<char> order; // written only by domain 0's thread
+        set.engine(1).schedule(0.0, [&set, &order] {
+            set.postKeyed(1, 0, 5.0, makeKeyedSeq(kSeqBandRequest, 0, 0),
+                          [&order] { order.push_back('K'); });
+        });
+        // Scheduled at t=4, after the keyed message is filed, for t=5.
+        set.engine(0).schedule(4.0, [&set, &order] {
+            set.engine(0).schedule(1.0, [&order] { order.push_back('O'); });
+        });
+        set.run();
+        EXPECT_EQ(order, (std::vector<char>{'O', 'K'}));
+    }
 }
 
 // A dense bucket of keyed messages is promoted to the engine's exact
@@ -1007,7 +1040,7 @@ TEST(DomainBurst, KeyedPostsOutOfSeqOrderIntoPromotedBucket)
 }
 
 // ---------------------------------------------------------------------------
-// 5. Clock plumbing: runUntil strictness and the awaitResponse fast path
+// 5. Clock plumbing: runUntil strictness and the cross-post tally
 
 TEST(DomainClock, RunUntilDispatchesStrictlyBeforeHorizon)
 {
@@ -1022,62 +1055,31 @@ TEST(DomainClock, RunUntilDispatchesStrictlyBeforeHorizon)
     EXPECT_EQ(fired, (std::vector<int>{5, 10}));
 }
 
-// A response already due must replicate delayUntil's fast path: no
-// suspension, no event, no sequence number consumed.
-TEST(DomainClock, AwaitResponsePastDeadlineConsumesNothing)
+// A keyed self-post (src == dst) that resumes a coroutine — the shape
+// of a memory response continuation — is not cross-domain traffic.
+TEST(DomainClock, SameDomainWakeNotCountedAsCrossPost)
 {
+    struct KeyedWake
+    {
+        DomainSet &set;
+        bool await_ready() const noexcept { return false; }
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            set.postKeyed(1, 1, 4.0, makeKeyedSeq(kSeqBandResponse, 1, 0),
+                          [h] { h.resume(); });
+        }
+        void await_resume() const noexcept {}
+    };
     DomainSet set(2u);
     bool resumed = false;
     [](DomainSet &s, bool &done) -> Process {
-        co_await s.awaitResponse(0, 1, -1.0);
+        co_await KeyedWake{s};
         done = true;
     }(set, resumed);
-    EXPECT_TRUE(resumed); // never suspended
-    EXPECT_EQ(set.eventsProcessed(), 0u);
-    EXPECT_EQ(set.crossDomainPosts(), 0u);
-}
-
-// A future response must be bit-for-bit the same as delayUntil on a
-// serial engine — including the now + (when - now) rounding, which
-// can differ from `when` by an ulp.
-TEST(DomainClock, AwaitResponseMatchesDelayUntilBitExact)
-{
-    // Values chosen so `when - now` is inexact: the serial engine and
-    // the sharded wake must round identically.
-    const SimTime t0 = 1.0e6 / 3.0;
-    const SimTime when = t0 + 1234.5 / 7.0;
-
-    Engine ref;
-    SimTime ref_at = 0.0;
-    [](Engine &e, SimTime start, SimTime w, SimTime &out) -> Process {
-        co_await e.delay(start);
-        co_await e.delayUntil(w);
-        out = e.now();
-    }(ref, t0, when, ref_at);
-    ref.run();
-
-    DomainSet set(2u);
-    SimTime dom_at = 0.0;
-    [](DomainSet &s, SimTime start, SimTime w, SimTime &out) -> Process {
-        co_await s.engine(1).delay(start);
-        co_await s.awaitResponse(0, 1, w);
-        out = s.engine(1).now();
-    }(set, t0, when, dom_at);
+    EXPECT_FALSE(resumed);
     set.run();
-
-    EXPECT_EQ(ref_at, dom_at); // exact double equality — bit identity
-    EXPECT_EQ(ref.eventsProcessed(), set.eventsProcessed());
-    EXPECT_EQ(set.crossDomainPosts(), 1u);
-}
-
-// Same-domain wakes are not cross-domain traffic.
-TEST(DomainClock, SameDomainWakeNotCountedAsCrossPost)
-{
-    DomainSet set(2u);
-    [](DomainSet &s) -> Process {
-        co_await s.awaitResponse(1, 1, 4.0);
-    }(set);
-    set.run();
+    EXPECT_TRUE(resumed);
     EXPECT_EQ(set.crossDomainPosts(), 0u);
     EXPECT_EQ(set.eventsProcessed(), 1u);
     EXPECT_DOUBLE_EQ(set.now(), 4.0);

@@ -96,6 +96,30 @@ TEST(Process, ZeroDelayDoesNotSuspend)
     EXPECT_DOUBLE_EQ(marks[0], 0.0);
 }
 
+// delayUntil a time already reached (or passed) is the fast path:
+// no suspension, no event, no sequence number consumed.
+TEST(Process, DelayUntilPastDeadlineConsumesNothing)
+{
+    Engine engine;
+    std::vector<SimTime> marks;
+    uint64_t seq_before = 0;
+    uint64_t seq_after = 0;
+    [](Engine &eng, std::vector<SimTime> &out, uint64_t &before,
+       uint64_t &after) -> Process {
+        co_await eng.delay(3.0);
+        before = eng.shared().nextSeq;
+        co_await eng.delayUntil(3.0);  // t == now
+        co_await eng.delayUntil(-1.0); // t < now
+        after = eng.shared().nextSeq;
+        out.push_back(eng.now());
+    }(engine, marks, seq_before, seq_after);
+    engine.run();
+    ASSERT_EQ(marks.size(), 1u);
+    EXPECT_DOUBLE_EQ(marks[0], 3.0);
+    EXPECT_EQ(seq_after, seq_before);
+    EXPECT_EQ(engine.eventsProcessed(), 1u); // the delay(3.0) wake only
+}
+
 TEST(Resource, BackToBackRequestsQueue)
 {
     Engine engine;

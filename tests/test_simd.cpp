@@ -102,7 +102,6 @@ TEST(SimdDispatch, OpsForReturnsMatchingTier)
         EXPECT_NE(ops.spmmRowRange, nullptr);
         EXPECT_NE(ops.spmmGatherRows, nullptr);
         EXPECT_NE(ops.relu, nullptr);
-        EXPECT_NE(ops.addBias, nullptr);
         EXPECT_NE(ops.gemmPackB, nullptr);
         EXPECT_NE(ops.gemmPrepacked, nullptr);
     }
@@ -164,21 +163,6 @@ TEST_P(SimdTierKernels, ReluClampsNegatives)
             x = std::max(x, 0.0f);
         ops().relu(v.data(), n);
         expectClose(v.data(), want.data(), n, 0.0f, 0.0f);
-    }
-}
-
-TEST_P(SimdTierKernels, AddBiasBroadcastsPerColumn)
-{
-    for (uint64_t cols : kWidths) {
-        const uint64_t rows = 5;
-        auto m = randomVec(rows * cols, 44);
-        const auto bias = randomVec(cols, 55);
-        auto want = m;
-        for (uint64_t r = 0; r < rows; ++r)
-            for (uint64_t c = 0; c < cols; ++c)
-                want[r * cols + c] += bias[c];
-        ops().addBias(m.data(), bias.data(), rows, cols);
-        expectClose(m.data(), want.data(), rows * cols);
     }
 }
 

@@ -167,16 +167,6 @@ TEST(Relu, ClampsNegatives)
     EXPECT_FLOAT_EQ(m.at(0, 3), 0.0f);
 }
 
-TEST(Bias, AddsPerColumn)
-{
-    DenseMatrix m(2, 3);
-    const std::vector<float> bias{1.0f, 2.0f, 3.0f};
-    addBiasInPlace(m, bias);
-    for (uint64_t r = 0; r < 2; ++r)
-        for (uint64_t c = 0; c < 3; ++c)
-            EXPECT_FLOAT_EQ(m.at(r, c), bias[c]);
-}
-
 TEST(DenseMatrixStorage, DataIs64ByteAligned)
 {
     for (uint64_t rows : {1u, 3u, 17u, 100u}) {
@@ -305,30 +295,6 @@ TEST(Argmax, PicksLargestPerRow)
     EXPECT_EQ(idx[0], 3u);
     EXPECT_EQ(idx[1], 0u);
     EXPECT_EQ(idx[2], 1u); // tie -> lower index
-}
-
-TEST(RowNorms, KnownValues)
-{
-    DenseMatrix m(2, 2, {3, 4, 0, 0});
-    const auto norms = rowL2Norms(m);
-    EXPECT_FLOAT_EQ(norms[0], 5.0f);
-    EXPECT_FLOAT_EQ(norms[1], 0.0f);
-}
-
-TEST(ScaleRows, AppliesPerRowFactor)
-{
-    DenseMatrix m(2, 2, {1, 2, 3, 4});
-    const std::vector<float> factors{2.0f, 0.5f};
-    scaleRowsInPlace(m, factors);
-    EXPECT_FLOAT_EQ(m.at(0, 1), 4.0f);
-    EXPECT_FLOAT_EQ(m.at(1, 0), 1.5f);
-}
-
-TEST(Mean, MatchesManualAverage)
-{
-    DenseMatrix m(2, 2, {1, 2, 3, 6});
-    EXPECT_FLOAT_EQ(mean(m), 3.0f);
-    EXPECT_FLOAT_EQ(mean(DenseMatrix{}), 0.0f);
 }
 
 } // namespace
