@@ -16,9 +16,10 @@
  * already flatters locality, so "identity" here means "shuffled ids",
  * and every pass has to earn its locality back from that.
  *
- * CI gates on this bench via tools/bench_pr6.py: on every graph, the
- * best of {island, rcm} must beat shuffle on host SpMM GF/s AND
- * reduce the modeled remote-access fraction under blocked placement.
+ * CI gates on this bench via `tools/pgcn_report.py gate reorder`: on
+ * every graph, the best of {island, rcm} must beat shuffle on host
+ * SpMM GF/s AND reduce the modeled remote-access fraction under
+ * blocked placement.
  *
  * Runs on the shared sweep driver (--jobs N / --checkpoint= /
  * --resume / --sweep-json=). --model-only skips the host wall-clock

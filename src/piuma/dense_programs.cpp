@@ -214,6 +214,7 @@ simulateDenseMm(uint64_t num_vertices, uint64_t k_in, uint64_t k_out,
     stats.eventsPerSec =
         wall > 0.0 ? static_cast<double>(stats.simEvents) / wall : 0.0;
     stats.peakEventQueueDepth = ctx.domains.peakQueueDepth();
+    checkRunStats(stats, num_vertices, k_in, k_out, cfg, controls);
 
     if (session != nullptr) {
         telemetry::Registry &reg = session->registry();
@@ -224,6 +225,38 @@ simulateDenseMm(uint64_t num_vertices, uint64_t k_in, uint64_t k_out,
         session->endKernel(stats.makespanNs);
     }
     return stats;
+}
+
+void
+checkRunStats(const DenseRunStats &stats, uint64_t num_vertices,
+              uint64_t k_in, uint64_t k_out, const PiumaConfig &cfg,
+              const sim::SimControls *controls)
+{
+    // The bound is taken from the array sizes, not from the counted
+    // traffic, so traffic the program drops or under-counts cannot
+    // lower it.
+    const double traffic = 4.0 * static_cast<double>(num_vertices) *
+                           static_cast<double>(k_in + k_out);
+    if (!(stats.goodputBytes >= traffic)) {
+        PGCN_THROW(SimError, "dense run goodputBytes "
+                                 << stats.goodputBytes
+                                 << " below the traffic floor of X and Y, "
+                                 << traffic);
+    }
+    const double bound = traffic / cfg.aggregateBandwidth();
+    if (!(stats.makespanNs >= bound)) {
+        PGCN_THROW(SimError, "dense makespan "
+                                 << stats.makespanNs
+                                 << " ns beats the bandwidth bound " << bound
+                                 << " ns");
+    }
+    const bool drops = controls != nullptr && controls->faults != nullptr &&
+                       controls->faults->config().anyDrops();
+    if (!drops && (stats.retries != 0 || stats.timeoutsFired != 0)) {
+        PGCN_THROW(SimError, "dense run with no drop fault armed fired "
+                                 << stats.retries << " retries and "
+                                 << stats.timeoutsFired << " timeouts");
+    }
 }
 
 } // namespace pgcn::piuma

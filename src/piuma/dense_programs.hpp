@@ -74,6 +74,25 @@ DenseRunStats simulateDenseMm(uint64_t num_vertices, uint64_t k_in,
                               telemetry::Session *session = nullptr,
                               const sim::SimControls *controls = nullptr);
 
+/**
+ * Check the laws every simulated dense update obeys. simulateDenseMm
+ * runs it on each result before returning; it is O(1).
+ *
+ *  - The update moves at least X and Y in float32: goodputBytes >=
+ *    4 |V| (K_in + K_out).
+ *  - No makespan beats the bandwidth bound: makespanNs >= that
+ *    traffic / cfg.aggregateBandwidth().
+ *  - With no drop-class fault armed (see FaultConfig::anyDrops), the
+ *    run fired no retry and no timeout.
+ *
+ * The remaining arguments are the ones the run was simulated with.
+ *
+ * @throws SimError naming the broken law.
+ */
+void checkRunStats(const DenseRunStats &stats, uint64_t num_vertices,
+                   uint64_t k_in, uint64_t k_out, const PiumaConfig &cfg,
+                   const sim::SimControls *controls);
+
 } // namespace pgcn::piuma
 
 #endif // PGCN_PIUMA_DENSE_PROGRAMS_HPP

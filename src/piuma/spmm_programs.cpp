@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "model/spmm_model.hpp"
 #include "piuma/dma.hpp"
 #include "piuma/memory.hpp"
 #include "sim/domain.hpp"
@@ -987,6 +988,7 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
     stats.eventsPerSec =
         wall > 0.0 ? static_cast<double>(stats.simEvents) / wall : 0.0;
     stats.peakEventQueueDepth = ctx.domains.peakQueueDepth();
+    checkRunStats(stats, csr, embedding_dim, cfg, controls);
 
     if (session != nullptr) {
         publishRunCounters(stats, session->registry());
@@ -994,6 +996,39 @@ simulateSpmm(const Csr &csr, unsigned embedding_dim, const PiumaConfig &cfg,
     }
 
     return stats;
+}
+
+void
+checkRunStats(const SpmmRunStats &stats, const Csr &csr,
+              unsigned embedding_dim, const PiumaConfig &cfg,
+              const sim::SimControls *controls)
+{
+    const double served = stats.bytesServed;
+    const double delivered = stats.goodputBytes + stats.retriedBytes;
+    if (!(std::abs(served - delivered) <= 1e-6 * std::max(served, 1.0))) {
+        PGCN_THROW(SimError,
+                   "SpMM run breaks slice-traffic conservation: bytesServed "
+                       << served << " != goodputBytes + retriedBytes "
+                       << delivered);
+    }
+    const double bw = cfg.aggregateBandwidth();
+    const double bound =
+        model::estimateSpmm(
+            {csr.numVertices(), csr.numEdges(), embedding_dim}, bw, bw)
+            .timeNs;
+    if (!(stats.makespanNs >= bound)) {
+        PGCN_THROW(SimError, "SpMM makespan "
+                                 << stats.makespanNs
+                                 << " ns beats the bandwidth bound " << bound
+                                 << " ns");
+    }
+    const bool drops = controls != nullptr && controls->faults != nullptr &&
+                       controls->faults->config().anyDrops();
+    if (!drops && (stats.retries != 0 || stats.timeoutsFired != 0)) {
+        PGCN_THROW(SimError, "SpMM run with no drop fault armed fired "
+                                 << stats.retries << " retries and "
+                                 << stats.timeoutsFired << " timeouts");
+    }
 }
 
 } // namespace pgcn::piuma

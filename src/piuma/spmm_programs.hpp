@@ -174,6 +174,27 @@ SpmmRunStats simulateSpmm(const graph::Csr &csr, unsigned embedding_dim,
                           const sim::SimControls *controls = nullptr);
 
 /**
+ * Check the laws every simulated SpMM obeys. simulateSpmm runs it on
+ * each result before returning; it is O(1).
+ *
+ *  - Slice traffic is conserved: bytesServed == goodputBytes +
+ *    retriedBytes, within 1e-6 relative.
+ *  - No makespan beats the bandwidth bound: makespanNs >=
+ *    model::estimateSpmm({|V|, |E|, K}, BW, BW).timeNs with BW the
+ *    aggregate slice bandwidth.
+ *  - With no drop-class fault armed (see FaultConfig::anyDrops), the
+ *    run fired no retry and no timeout.
+ *
+ * @p csr, @p embedding_dim, @p cfg and @p controls are the arguments
+ * the run was simulated with.
+ *
+ * @throws SimError naming the broken law.
+ */
+void checkRunStats(const SpmmRunStats &stats, const graph::Csr &csr,
+                   unsigned embedding_dim, const PiumaConfig &cfg,
+                   const sim::SimControls *controls);
+
+/**
  * Classify what bounds further scaling of @p stats' run: a saturated
  * resource ("resource:mem|net|issue|dma", any utilisation >= 85%,
  * checked first because a full resource serialises the event graph as

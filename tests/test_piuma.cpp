@@ -16,6 +16,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
+#include <string>
 #include <tuple>
 
 #include "common/error.hpp"
@@ -670,6 +672,139 @@ TEST(DenseSim, Deterministic)
     const auto b = simulateDenseMm(1u << 10, 64, 64, cfg);
     EXPECT_DOUBLE_EQ(a.makespanNs, b.makespanNs);
     EXPECT_EQ(a.simEvents, b.simEvents);
+}
+
+// ---- checkRunStats: the laws every simulated run obeys --------------
+
+/** Expect @p fn to throw SimError whose message names @p law. */
+template <typename Fn>
+void
+expectLawBroken(Fn &&fn, const char *law)
+{
+    try {
+        fn();
+        ADD_FAILURE() << "expected a SimError naming '" << law << "'";
+    } catch (const SimError &e) {
+        EXPECT_NE(std::string(e.what()).find(law), std::string::npos)
+            << e.what();
+    }
+}
+
+class RunStatsCheck : public ::testing::Test
+{
+  protected:
+    void
+    SetUp() override
+    {
+        cfg.numCores = 2;
+        spmm = simulateSpmm(csr, kDim, cfg, SpmmAlgorithm::Dma);
+        dense = simulateDenseMm(kRows, kDim, kDim, cfg);
+    }
+
+    /** Controls arming one fault class (hard drop or jitter only). */
+    sim::SimControls
+    armed(bool drops)
+    {
+        sim::FaultConfig fc;
+        if (drops)
+            fc.dramDropRate = 0.01;
+        else
+            fc.serviceRateJitter = 0.1;
+        injector.emplace(fc);
+        sim::SimControls controls;
+        controls.faults = &*injector;
+        return controls;
+    }
+
+    static constexpr unsigned kDim = 8;
+    static constexpr uint64_t kRows = 1u << 9;
+    graph::Csr csr = testGraph(9, 1u << 11);
+    PiumaConfig cfg;
+    SpmmRunStats spmm;
+    DenseRunStats dense;
+    std::optional<sim::FaultInjector> injector;
+};
+
+TEST_F(RunStatsCheck, SpmmPassesAndCatchesEachViolation)
+{
+    EXPECT_NO_THROW(checkRunStats(spmm, csr, kDim, cfg, nullptr));
+
+    auto bad = spmm;
+    bad.bytesServed += 64.0;
+    expectLawBroken([&] { checkRunStats(bad, csr, kDim, cfg, nullptr); },
+                    "conservation");
+
+    const double bw = cfg.aggregateBandwidth();
+    const double bound =
+        model::estimateSpmm({csr.numVertices(), csr.numEdges(), kDim}, bw,
+                            bw)
+            .timeNs;
+    bad = spmm;
+    bad.makespanNs = std::nextafter(bound, 0.0);
+    expectLawBroken([&] { checkRunStats(bad, csr, kDim, cfg, nullptr); },
+                    "bandwidth bound");
+    bad.makespanNs = bound;
+    EXPECT_NO_THROW(checkRunStats(bad, csr, kDim, cfg, nullptr));
+
+    bad = spmm;
+    bad.retries = 1;
+    expectLawBroken([&] { checkRunStats(bad, csr, kDim, cfg, nullptr); },
+                    "no drop fault armed");
+    bad = spmm;
+    bad.timeoutsFired = 1;
+    expectLawBroken([&] { checkRunStats(bad, csr, kDim, cfg, nullptr); },
+                    "no drop fault armed");
+}
+
+TEST_F(RunStatsCheck, DensePassesAndCatchesEachViolation)
+{
+    EXPECT_NO_THROW(checkRunStats(dense, kRows, kDim, kDim, cfg, nullptr));
+
+    const double floor = 4.0 * kRows * (kDim + kDim);
+    auto bad = dense;
+    bad.goodputBytes = floor - 4.0;
+    expectLawBroken(
+        [&] { checkRunStats(bad, kRows, kDim, kDim, cfg, nullptr); },
+        "traffic floor");
+
+    bad = dense;
+    bad.makespanNs =
+        std::nextafter(floor / cfg.aggregateBandwidth(), 0.0);
+    expectLawBroken(
+        [&] { checkRunStats(bad, kRows, kDim, kDim, cfg, nullptr); },
+        "bandwidth bound");
+
+    bad = dense;
+    bad.retries = 1;
+    expectLawBroken(
+        [&] { checkRunStats(bad, kRows, kDim, kDim, cfg, nullptr); },
+        "no drop fault armed");
+}
+
+TEST_F(RunStatsCheck, RetriesNeedADropClassFault)
+{
+    auto spmm_retried = spmm;
+    spmm_retried.retries = 1;
+    spmm_retried.timeoutsFired = 1;
+    auto dense_retried = dense;
+    dense_retried.retries = 1;
+    dense_retried.timeoutsFired = 1;
+
+    sim::SimControls controls = armed(/*drops=*/true);
+    EXPECT_NO_THROW(checkRunStats(spmm_retried, csr, kDim, cfg, &controls));
+    EXPECT_NO_THROW(
+        checkRunStats(dense_retried, kRows, kDim, kDim, cfg, &controls));
+
+    // Jitter perturbs timings but drops nothing, so it cannot retry.
+    controls = armed(/*drops=*/false);
+    expectLawBroken(
+        [&] { checkRunStats(spmm_retried, csr, kDim, cfg, &controls); },
+        "no drop fault armed");
+    expectLawBroken(
+        [&] {
+            checkRunStats(dense_retried, kRows, kDim, kDim, cfg, &controls);
+        },
+        "no drop fault armed");
 }
 
 } // namespace
